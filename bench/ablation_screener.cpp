@@ -1,4 +1,5 @@
-// Ablation: the Sherman-Morrison candidate screener. Plain LDRG runs one
+// Ablation: the Sherman-Morrison candidate screen (LdrgOptions::screen,
+// graph Elmore ranking the candidates). Plain LDRG runs one
 // transient simulation per candidate pair per round (the quadratic cost
 // the paper calls computationally prohibitive for SPICE); screened LDRG
 // ranks all pairs with O(n)-per-candidate moment updates and simulates
@@ -10,12 +11,14 @@
 
 #include "bench_common.h"
 #include "core/ldrg.h"
-#include "core/ldrg_screened.h"
 
 int main() {
   using namespace ntr;
   const bench::TableConfig config = bench::config_from_env();
   const delay::TransientEvaluator spice_like(config.tech);
+  const delay::GraphElmoreEvaluator elmore(config.tech);
+  core::LdrgOptions screened_options;
+  screened_options.screen = &elmore;
 
   using Clock = std::chrono::steady_clock;
   std::printf("Ablation -- screened LDRG (verify top-4) vs exhaustive-candidate LDRG\n\n");
@@ -33,7 +36,7 @@ int main() {
       const core::LdrgResult plain = core::ldrg(mst, spice_like);
       const auto t1 = Clock::now();
       const core::LdrgResult screened =
-          core::ldrg_screened(mst, spice_like, config.tech);
+          core::ldrg(mst, spice_like, screened_options);
       const auto t2 = Clock::now();
 
       plain_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();

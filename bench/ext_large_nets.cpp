@@ -7,16 +7,18 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/ldrg_screened.h"
+#include "core/ldrg.h"
 
 int main() {
   using namespace ntr;
   const bench::TableConfig config = bench::config_from_env();
   const delay::TransientEvaluator spice_like(config.tech);
+  const delay::GraphElmoreEvaluator elmore(config.tech);
+  core::LdrgOptions screened_options;
+  screened_options.screen = &elmore;
 
   const auto screened_ldrg = [&](const graph::Net& net) {
-    return core::ldrg_screened(graph::mst_routing(net), spice_like, config.tech)
-        .graph;
+    return core::ldrg(graph::mst_routing(net), spice_like, screened_options).graph;
   };
 
   bench::TableConfig large = config;

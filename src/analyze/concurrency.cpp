@@ -15,8 +15,12 @@ namespace {
 using check::Token;
 using check::TokenKind;
 
-constexpr std::array<std::string_view, 2> kParallelEntryPoints = {
-    "parallel_chunks", "parallel_for"};
+constexpr std::array<std::string_view, 3> kParallelEntryPoints = {
+    "parallel_chunks", "parallel_for", "parallel_argmin"};
+
+/// The entry point that polls the stop token itself, between items: its
+/// lambda scores one item, so a loop inside it is not a lane loop.
+constexpr std::string_view kSelfPollingEntryPoint = "parallel_argmin";
 
 constexpr std::array<std::string_view, 11> kAssignOps = {
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
@@ -294,7 +298,8 @@ std::vector<check::LintDiagnostic> check_concurrency(const Project& project) {
         }
         // Library lanes only: tests exercise the chunking machinery with
         // deliberately tiny, token-free loops.
-        if (first_loop_line != 0 && !sees_stop && sf.path.starts_with("src/")) {
+        if (first_loop_line != 0 && !sees_stop && sf.path.starts_with("src/") &&
+            toks[i].text != kSelfPollingEntryPoint) {
           report(first_loop_line, "parallel-missing-poll",
                  "parallel lane contains a loop that never polls a "
                  "StopToken/Deadline (directly or by forwarding the stop "

@@ -8,10 +8,11 @@
 namespace ntr::analyze {
 
 /// Concurrency-discipline pass over every `parallel_chunks` /
-/// `parallel_for` call site (the repo's only way to run library code on
-/// multiple lanes -- ThreadPool::run is an implementation detail behind
-/// them). Two rules, both token-level heuristics in the spirit of
-/// ntr_lint, not a points-to analysis:
+/// `parallel_for` / `parallel_argmin` call site (the repo's only way to
+/// run library code on multiple lanes -- ThreadPool::run is an
+/// implementation detail behind them; a parallel_argmin score lambda runs
+/// on every lane like a lane body). Two rules, both token-level
+/// heuristics in the spirit of ntr_lint, not a points-to analysis:
 ///
 ///   parallel-shared-write  an identifier captured by reference in a lane
 ///                          lambda is written (assignment, ++/--, or a
@@ -34,7 +35,9 @@ namespace ntr::analyze {
 ///                          StopToken/Deadline, directly or by forwarding
 ///                          the token into the callee's options. Tests
 ///                          are exempt; they exercise the chunking
-///                          machinery itself.
+///                          machinery itself. parallel_argmin lambdas are
+///                          exempt too: the argmin polls between items
+///                          and each lambda call scores one item.
 ///
 /// Lane-local variables (lambda parameters and anything declared inside
 /// the lambda body) are exempt by construction. Nested lambdas inside a

@@ -69,8 +69,8 @@ constexpr std::array<std::string_view, 10> kControlKeywords = {
 
 /// Deferred-execution sinks: the callable runs after the full expression,
 /// so by-ref captures of locals are a lifetime hazard. The repo's
-/// synchronous barriers (parallel_chunks / parallel_for / ThreadPool::run)
-/// are deliberately absent.
+/// synchronous barriers (parallel_chunks / parallel_for / parallel_argmin /
+/// ThreadPool::run) are deliberately absent.
 constexpr std::array<std::string_view, 7> kDeferredSinks = {
     "submit", "enqueue", "post", "defer", "dispatch", "spawn", "async"};
 

@@ -30,7 +30,8 @@ namespace ntr::analyze {
 ///                               a task container, or stored outside the
 ///                               enclosing scope; the synchronous
 ///                               `parallel_chunks`/`parallel_for`/
-///                               `ThreadPool::run` barriers are exempt
+///                               `parallel_argmin`/`ThreadPool::run`
+///                               barriers are exempt
 ///                               (data races there are the concurrency
 ///                               pass's beat, not lifetime's)
 ///

@@ -378,7 +378,8 @@ void check_blocking_in_lane(const Project& project, const CallGraph& graph,
     if (!project.files[fi].path.starts_with("src/")) continue;
     const ParsedSource& parsed = project.files[fi].parsed;
     for (const ParsedCall& call : parsed.calls) {
-      if (call.callee != "parallel_chunks" && call.callee != "parallel_for")
+      if (call.callee != "parallel_chunks" && call.callee != "parallel_for" &&
+          call.callee != "parallel_argmin")
         continue;
       for (const ParsedLambda& lam : parsed.lambdas) {
         if (lam.intro <= call.lparen || lam.intro >= call.rparen) continue;

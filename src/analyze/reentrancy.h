@@ -21,7 +21,8 @@ namespace ntr::analyze {
 ///    vector growth, and string construction transitively reachable from
 ///    functions annotated NTR_HOT (src/core/annotations.h).
 ///  - blocking-in-lane: stream/file I/O, mutex acquisition, and sleeps
-///    reachable from parallel_chunks/parallel_for lane bodies.
+///    reachable from parallel_chunks/parallel_for lane bodies and
+///    parallel_argmin score lambdas.
 ///
 /// Findings are src/-only. Each rule honors the standard
 /// `ntr-lint-allow` suppressions plus a justification-comment escape

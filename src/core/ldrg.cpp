@@ -1,26 +1,21 @@
 #include "core/ldrg.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstddef>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.h"
 #include "core/annotations.h"
 #include "check/faultinject.h"
 #include "graph/validate.h"
-#include "runtime/status.h"
 
 namespace ntr::core {
 
 namespace {
-
-/// In-lane stop-poll stride: every 16 candidates each lane re-checks the
-/// shared stop flag and the token. Candidate scoring dominates the cost
-/// (an LU solve or an O(n) delta), so 16 bounds cancellation latency to a
-/// few scores without measurable overhead.
-constexpr std::size_t kLaneStopStride = 16;
 
 double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
                  const std::vector<double>& criticality) {
@@ -48,14 +43,40 @@ struct Candidate {
   graph::NodeId v = graph::kInvalidNode;
 };
 
-/// The winning candidate of one lane: its score and its index in the
-/// shared enumeration order. Reduced across lanes by (score, index), which
-/// reproduces the serial loop's "strict improvement, first tie wins"
-/// semantics for any lane count.
-struct LaneBest {
-  double score = std::numeric_limits<double>::infinity();
-  std::size_t index = std::numeric_limits<std::size_t>::max();
-};
+/// Narrows `candidates` to the options.screen_top_k best by the screen's
+/// delta scorer, best first. Every candidate's score lands in its own
+/// pre-sized slot, and the partial_sort permutation depends only on
+/// comparison results, so the ranking is bit-identical for every lane
+/// count. Ties keep whatever order partial_sort leaves them in; the
+/// verify scan then breaks its own ties by rank.
+void keep_screened_top_k(std::vector<Candidate>& candidates,
+                         const graph::RoutingGraph& g, const LdrgOptions& options,
+                         ThreadPool* pool) {
+  const std::unique_ptr<delay::CandidateScorer> screen =
+      options.screen->make_candidate_scorer(g);
+  if (!screen)
+    throw std::invalid_argument("ldrg: the screen evaluator has no delta scorer");
+  std::vector<double> scores(candidates.size());
+  // Unbounded: every slot must be filled, so the argmin's winner is unused.
+  static_cast<void>(parallel_argmin(
+      pool, candidates.size(), options.stop, "ldrg screen scan",
+      std::numeric_limits<double>::infinity(), [&](std::size_t i, double) {
+        scores[i] = sink_objective(
+            screen->candidate_sink_delays(candidates[i].u, candidates[i].v),
+            options.criticality);
+        return scores[i];
+      }));
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t top_k = std::min(options.screen_top_k, order.size());
+  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(top_k),
+                    order.end(),
+                    [&](std::size_t a, std::size_t b) { return scores[a] < scores[b]; });
+  std::vector<Candidate> ranked;
+  ranked.reserve(top_k);
+  for (std::size_t k = 0; k < top_k; ++k) ranked.push_back(candidates[order[k]]);
+  candidates = std::move(ranked);
+}
 
 }  // namespace
 
@@ -66,6 +87,8 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
                         const LdrgOptions& options) {
   if (!initial.is_connected())
     throw std::invalid_argument("ldrg: initial routing must be connected");
+  if (options.screen != nullptr && options.screen_top_k == 0)
+    throw std::invalid_argument("ldrg: screen_top_k must be positive");
 
   LdrgResult result;
   result.graph = initial;
@@ -81,13 +104,12 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
   std::unique_ptr<ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes);
 
-  const bool stop_engaged = options.stop.engaged();
   while (result.steps.size() < options.max_added_edges) {
     // Round boundary: the natural resumption point -- result.graph holds a
     // complete, valid routing after every accepted edge, so unwinding here
     // loses at most one round of scan work.
     NTR_FAULT_POINT(kLdrgDeadline);
-    if (stop_engaged) options.stop.throw_if_stopped("ldrg round");
+    if (options.stop.engaged()) options.stop.throw_if_stopped("ldrg round");
 
     const double current = result.final_objective;
     const double accept_below =
@@ -112,6 +134,11 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
     }
     if (candidates.empty()) break;
 
+    // Screened LDRG: only the screen's top-k, in rank order, reach the
+    // evaluator; the rank then defines the tie-break index.
+    if (options.screen != nullptr)
+      keep_screened_top_k(candidates, result.graph, options, pool.get());
+
     // Incremental path: evaluators with a delta engine (Sherman-Morrison
     // Elmore) score a candidate in O(n) off the cached factorization of
     // the *current* graph. The cache is rebuilt here each round -- the
@@ -119,63 +146,23 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
     const std::unique_ptr<delay::CandidateScorer> scorer =
         evaluator.make_candidate_scorer(result.graph);
 
-    // Lane-local scans with deterministic static chunking. Each lane
-    // tracks its own branch-and-bound cutoff, seeded at the acceptance
-    // threshold: a candidate whose delay provably exceeds the lane's best
-    // can never become the winner, so its evaluation may stop early.
-    std::vector<LaneBest> lane_best(lanes);
-    // One lane observing a tripped token raises the shared flag; the other
-    // lanes see it at their next stride check and break too, so the pool
-    // joins promptly and ldrg can rethrow the trip as a typed error.
-    std::atomic<bool> stop_hit{false};
-    parallel_chunks(pool.get(), candidates.size(),
-                    [&](std::size_t lane, std::size_t begin, std::size_t end) {
-                      LaneBest best;
-                      double bound = accept_below;
-                      for (std::size_t i = begin; i < end; ++i) {
-                        if (stop_engaged && (i - begin) % kLaneStopStride == 0) {
-                          if (stop_hit.load(std::memory_order_relaxed) ||
-                              options.stop.poll() != runtime::StatusCode::kOk) {
-                            stop_hit.store(true, std::memory_order_relaxed);
-                            break;
-                          }
-                        }
-                        const Candidate& c = candidates[i];
-                        double t;
-                        if (scorer) {
-                          t = sink_objective(
-                              scorer->candidate_sink_delays(c.u, c.v),
-                              options.criticality);
-                        } else {
-                          graph::RoutingGraph trial = result.graph;
-                          trial.add_edge(c.u, c.v);
-                          t = (!weighted && options.bounded_scoring)
-                                  ? evaluator.bounded_max_delay(trial, bound)
-                                  : objective(trial, evaluator,
-                                              options.criticality);
-                        }
-                        if (t < bound) {
-                          bound = t;
-                          best = LaneBest{t, i};
-                        }
-                      }
-                      lane_best[lane] = best;
-                    });
-    if (stop_hit.load(std::memory_order_relaxed))
-      options.stop.throw_if_stopped("ldrg candidate scan");
-
-    // Deterministic reduction: lowest score wins, ties go to the lowest
-    // candidate index -- independent of lane count and scheduling.
-    LaneBest best;
-    for (const LaneBest& lb : lane_best) {
-      if (lb.index == std::numeric_limits<std::size_t>::max()) continue;
-      if (lb.score < best.score ||
-          (lb.score == best.score && lb.index < best.index))
-        best = lb;
-    }
-    if (best.index == std::numeric_limits<std::size_t>::max() ||
-        !(best.score < accept_below))
-      break;  // no candidate improves t(G)
+    // The lane bound starts at the acceptance threshold: a candidate whose
+    // delay provably exceeds the lane's best can never become the winner,
+    // so its evaluation may stop early (bounded_max_delay).
+    const Argmin best = parallel_argmin(
+        pool.get(), candidates.size(), options.stop, "ldrg candidate scan",
+        accept_below, [&](std::size_t i, double bound) {
+          const Candidate& c = candidates[i];
+          if (scorer)
+            return sink_objective(scorer->candidate_sink_delays(c.u, c.v),
+                                  options.criticality);
+          graph::RoutingGraph trial = result.graph;
+          trial.add_edge(c.u, c.v);
+          return (!weighted && options.bounded_scoring)
+                     ? evaluator.bounded_max_delay(trial, bound)
+                     : objective(trial, evaluator, options.criticality);
+        });
+    if (!best.found()) break;  // no candidate improves t(G)
 
     const Candidate winner = candidates[best.index];
     result.graph.add_edge(winner.u, winner.v);

@@ -10,6 +10,7 @@
 
 #include "check/contracts.h"
 #include "core/annotations.h"
+#include "runtime/status.h"
 
 namespace ntr::core {
 
@@ -115,6 +116,25 @@ void ThreadPool::run(const std::function<void(std::size_t)>& fn) {
     impl_->done_cv.wait(lock, [&] { return impl_->pending == 0; });
     if (impl_->failure) std::rethrow_exception(impl_->failure);
   }
+}
+
+Argmin reduce_argmin(const std::vector<Argmin>& lane_best) {
+  Argmin best;
+  for (const Argmin& lb : lane_best) {
+    if (!lb.found()) continue;
+    if (lb.score < best.score || (lb.score == best.score && lb.index < best.index))
+      best = lb;
+  }
+  return best;
+}
+
+bool lane_should_stop(const runtime::StopToken& stop, std::atomic<bool>& stop_hit) {
+  if (stop_hit.load(std::memory_order_relaxed) ||
+      stop.poll() != runtime::StatusCode::kOk) {
+    stop_hit.store(true, std::memory_order_relaxed);
+    return true;
+  }
+  return false;
 }
 
 void parallel_chunks(ThreadPool* pool, std::size_t n,

@@ -31,8 +31,8 @@ MomentAnalysis moment_analysis(const graph::RoutingGraph& g,
 /// conductance matrix G (wire conductances + the Norton-transformed
 /// driver at the source) and the diagonal capacitance vector C (half of
 /// each wire cap at either endpoint + sink loads). Exposed for engines
-/// that build on the same electrical model (the candidate screener, delay
-/// bounds, tests).
+/// that build on the same electrical model (the incremental candidate
+/// scorer, delay bounds, tests).
 struct GroundedSystem {
   linalg::DenseMatrix conductance;
   std::vector<double> capacitance;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "geom/point.h"
 
@@ -30,6 +31,45 @@ std::unordered_set<std::size_t> crossed_boundaries(const Grid& grid,
     }
   }
   return ids;
+}
+
+/// Contracts collinear degree-2 Steiner chains (straight runs of grid
+/// cells) into single edges, preserving lengths exactly, and drops the
+/// isolated Steiner nodes left behind.
+graph::RoutingGraph contract_collinear_steiner(graph::RoutingGraph g) {
+  bool contracted = true;
+  while (contracted) {
+    contracted = false;
+    for (graph::NodeId n = 0; n < g.node_count() && !contracted; ++n) {
+      if (g.node(n).kind != graph::NodeKind::kSteiner || g.degree(n) != 2) continue;
+      const auto incident = g.incident_edges(n);
+      const graph::NodeId a = g.other_endpoint(incident[0], n);
+      const graph::NodeId b = g.other_endpoint(incident[1], n);
+      const geom::Point pa = g.node(a).pos, pn = g.node(n).pos, pb = g.node(b).pos;
+      const bool collinear =
+          (pa.x == pn.x && pn.x == pb.x) || (pa.y == pn.y && pn.y == pb.y);
+      if (!collinear || a == b) continue;
+      // Remove the higher edge id first so the lower one stays valid.
+      const graph::EdgeId hi = std::max(incident[0], incident[1]);
+      const graph::EdgeId lo = std::min(incident[0], incident[1]);
+      g.remove_edge(hi);
+      g.remove_edge(lo);
+      g.add_edge(a, b);
+      contracted = true;
+    }
+  }
+
+  // Contraction leaves isolated Steiner nodes behind; rebuild compactly.
+  graph::RoutingGraph compact;
+  std::unordered_map<graph::NodeId, graph::NodeId> remap;
+  for (graph::NodeId n = 0; n < g.node_count(); ++n) {
+    const graph::GraphNode& node = g.node(n);
+    if (node.kind == graph::NodeKind::kSteiner && g.degree(n) == 0) continue;
+    remap[n] = compact.add_node(node.pos, node.kind);
+  }
+  for (const graph::GraphEdge& e : g.edges())
+    compact.add_edge(remap.at(e.u), remap.at(e.v));
+  return compact;
 }
 
 }  // namespace
@@ -132,46 +172,7 @@ graph::RoutingGraph to_routing_graph(const Grid& grid, const graph::Net& net,
     }
   }
 
-  return contract_collinear_steiner(g);
-}
-
-graph::RoutingGraph contract_collinear_steiner(const graph::RoutingGraph& input) {
-  graph::RoutingGraph g = input;
-  // Contract collinear degree-2 Steiner chains: straight runs of grid
-  // cells become single edges (lengths are preserved exactly).
-  bool contracted = true;
-  while (contracted) {
-    contracted = false;
-    for (graph::NodeId n = 0; n < g.node_count() && !contracted; ++n) {
-      if (g.node(n).kind != graph::NodeKind::kSteiner || g.degree(n) != 2) continue;
-      const auto incident = g.incident_edges(n);
-      const graph::NodeId a = g.other_endpoint(incident[0], n);
-      const graph::NodeId b = g.other_endpoint(incident[1], n);
-      const geom::Point pa = g.node(a).pos, pn = g.node(n).pos, pb = g.node(b).pos;
-      const bool collinear =
-          (pa.x == pn.x && pn.x == pb.x) || (pa.y == pn.y && pn.y == pb.y);
-      if (!collinear || a == b) continue;
-      // Remove the higher edge id first so the lower one stays valid.
-      const graph::EdgeId hi = std::max(incident[0], incident[1]);
-      const graph::EdgeId lo = std::min(incident[0], incident[1]);
-      g.remove_edge(hi);
-      g.remove_edge(lo);
-      g.add_edge(a, b);
-      contracted = true;
-    }
-  }
-
-  // Contraction leaves isolated Steiner nodes behind; rebuild compactly.
-  graph::RoutingGraph compact;
-  std::unordered_map<graph::NodeId, graph::NodeId> remap;
-  for (graph::NodeId n = 0; n < g.node_count(); ++n) {
-    const graph::GraphNode& node = g.node(n);
-    if (node.kind == graph::NodeKind::kSteiner && g.degree(n) == 0) continue;
-    remap[n] = compact.add_node(node.pos, node.kind);
-  }
-  for (const graph::GraphEdge& e : g.edges())
-    compact.add_edge(remap.at(e.u), remap.at(e.v));
-  return compact;
+  return contract_collinear_steiner(std::move(g));
 }
 
 }  // namespace ntr::grid

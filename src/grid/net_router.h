@@ -46,9 +46,4 @@ double routed_wirelength(const Grid& grid, const MazeNetRouting& routing);
 graph::RoutingGraph to_routing_graph(const Grid& grid, const graph::Net& net,
                                      const MazeNetRouting& routing);
 
-/// Contracts collinear degree-2 Steiner chains into single edges (lengths
-/// preserved exactly) and drops the isolated Steiner nodes left behind.
-/// Shared by the single-layer and layered grid-to-graph converters.
-graph::RoutingGraph contract_collinear_steiner(const graph::RoutingGraph& g);
-
 }  // namespace ntr::grid

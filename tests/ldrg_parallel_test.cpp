@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ldrg.h"
-#include "core/ldrg_screened.h"
 #include "core/solver.h"
 #include "delay/evaluator.h"
 #include "expt/net_generator.h"
@@ -114,17 +116,58 @@ TEST(LdrgParallel, WeightedObjectiveBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Screened LDRG pinned to the bits of the original two-stage
+/// implementation: transient evaluator, graph-Elmore screen, top-4.
+struct ScreenedGolden {
+  std::uint64_t seed;
+  std::size_t pins;
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+  std::vector<core::LdrgStep> steps;  ///< u, v, objective_before/after
+};
+
+const std::vector<ScreenedGolden>& screened_goldens() {
+  static const std::vector<ScreenedGolden> goldens = {
+      {321,
+       10,
+       {{0, 8}, {8, 1}, {8, 4}, {4, 7}, {7, 2}, {2, 6}, {0, 3}, {3, 9}, {1, 5}, {0, 4}},
+       {{0, 4, 0x1.18a02a8f29482p-30, 0x1.03c625ac4de7cp-30}}},
+      {23,
+       12,
+       {{0, 11}, {11, 3}, {0, 7}, {7, 5}, {3, 2}, {0, 9}, {9, 8}, {5, 6},
+        {6, 1}, {1, 4}, {5, 10}, {0, 5}},
+       {{0, 5, 0x1.b78c129c5aac9p-30, 0x1.98d84136a9de5p-30}}},
+  };
+  return goldens;
+}
+
 TEST(LdrgParallel, ScreenedVariantBitIdenticalAcrossThreadCounts) {
   const delay::TransientEvaluator eval(kTech);
-  expt::NetGenerator gen(23);
-  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(12));
-  core::ScreenedLdrgOptions opts;
-  const core::LdrgResult serial = core::ldrg_screened(mst, eval, kTech, opts);
-  for (const std::size_t threads : {2u, 8u}) {
-    core::ScreenedLdrgOptions par = opts;
-    par.base.parallel.num_threads = threads;
-    expect_identical(core::ldrg_screened(mst, eval, kTech, par), serial,
-                     "threads " + std::to_string(threads));
+  const delay::GraphElmoreEvaluator screen(kTech);
+  for (const ScreenedGolden& golden : screened_goldens()) {
+    expt::NetGenerator gen(golden.seed);
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(golden.pins));
+    core::LdrgOptions opts;
+    opts.screen = &screen;
+    opts.screen_top_k = 4;
+    const core::LdrgResult serial = core::ldrg(mst, eval, opts);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u, 0u}) {
+      const std::string context = "seed " + std::to_string(golden.seed) +
+                                  " threads " + std::to_string(threads);
+      core::LdrgOptions par = opts;
+      par.parallel.num_threads = threads;
+      const core::LdrgResult got = core::ldrg(mst, eval, par);
+      expect_identical(got, serial, context);
+      EXPECT_EQ(edge_list(got.graph), golden.edges) << context;
+      ASSERT_EQ(got.steps.size(), golden.steps.size()) << context;
+      for (std::size_t i = 0; i < got.steps.size(); ++i) {
+        EXPECT_EQ(got.steps[i].u, golden.steps[i].u) << context;
+        EXPECT_EQ(got.steps[i].v, golden.steps[i].v) << context;
+        EXPECT_EQ(got.steps[i].objective_before, golden.steps[i].objective_before)
+            << context;  // bitwise
+        EXPECT_EQ(got.steps[i].objective_after, golden.steps[i].objective_after)
+            << context;
+      }
+    }
   }
 }
 

@@ -83,6 +83,13 @@ TEST(Ldrg, CostBudgetIsRespected) {
     loose.max_cost_ratio = 2.0;
     EXPECT_LE(ldrg(mst, eval, loose).final_objective,
               res.final_objective * (1 + 1e-12));
+    // The screened variant runs the same round loop, so the same budget
+    // binds it.
+    LdrgOptions screened;
+    screened.max_cost_ratio = 1.05;
+    screened.screen = &eval;
+    const LdrgResult tight = ldrg(mst, eval, screened);
+    EXPECT_LE(tight.final_cost, tight.initial_cost * 1.05 * (1 + 1e-12));
   }
 }
 
@@ -126,6 +133,81 @@ TEST(Ldrg, CompleteGraphHasNoCandidatesLeft) {
   const delay::GraphElmoreEvaluator eval(kTech);
   const LdrgResult res = ldrg(graph::mst_routing(net), eval);
   EXPECT_LE(res.added_edges(), 1u);
+}
+
+// Screened LDRG: LdrgOptions::screen ranks every candidate with graph
+// Elmore's delta scorer and only the top screen_top_k reach the evaluator.
+
+TEST(ScreenedLdrg, AgreesWithPlainLdrgOnQuality) {
+  // With the same graph-Elmore oracle, screened LDRG verifying the top-4
+  // candidates should land within a few percent of exhaustive-candidate
+  // LDRG -- the screen and the oracle rank identically, so typically they
+  // coincide exactly.
+  expt::NetGenerator gen(123);
+  const delay::GraphElmoreEvaluator eval(kTech);
+  LdrgOptions opts;
+  opts.screen = &eval;
+  for (int trial = 0; trial < 5; ++trial) {
+    const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(10));
+    const LdrgResult plain = ldrg(mst, eval);
+    const LdrgResult fast = ldrg(mst, eval, opts);
+    EXPECT_LE(fast.final_objective, plain.final_objective * 1.03);
+    EXPECT_LE(fast.final_objective, fast.initial_objective * (1 + 1e-12));
+  }
+}
+
+TEST(ScreenedLdrg, TransientOracleStillGatesAcceptance) {
+  expt::NetGenerator gen(321);
+  const delay::TransientEvaluator transient(kTech);
+  const delay::GraphElmoreEvaluator elmore(kTech);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(10));
+  LdrgOptions opts;
+  opts.screen = &elmore;
+  const LdrgResult res = ldrg(mst, transient, opts);
+  // Every accepted step improved the *transient* objective, and the
+  // reported objective is the transient evaluator's own number.
+  for (const LdrgStep& s : res.steps)
+    EXPECT_LT(s.objective_after, s.objective_before);
+  EXPECT_LE(res.final_objective, res.initial_objective * (1 + 1e-12));
+  EXPECT_EQ(res.final_objective, transient.max_delay(res.graph));
+}
+
+TEST(ScreenedLdrg, CriticalityWeightedObjective) {
+  expt::NetGenerator gen(457);
+  const delay::GraphElmoreEvaluator eval(kTech);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(9));
+  LdrgOptions opts;
+  opts.screen = &eval;
+  opts.criticality.assign(mst.sinks().size(), 1.0);
+  const LdrgResult res = ldrg(mst, eval, opts);
+  EXPECT_LE(eval.weighted_delay(res.graph, opts.criticality),
+            eval.weighted_delay(mst, opts.criticality) * (1 + 1e-12));
+
+  // Wrong-sized weights must be rejected.
+  opts.criticality = {1.0};
+  EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument);
+}
+
+TEST(ScreenedLdrg, OptionValidation) {
+  expt::NetGenerator gen(7);
+  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(5));
+  const delay::GraphElmoreEvaluator eval(kTech);
+  LdrgOptions opts;
+  opts.screen = &eval;
+  opts.screen_top_k = 0;
+  EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument);
+
+  // A screen must have a delta scorer: ranking every candidate with full
+  // simulations would cost more than the unscreened scan it replaces.
+  const delay::TransientEvaluator transient(kTech);
+  opts.screen = &transient;
+  opts.screen_top_k = 4;
+  EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument);
+
+  // Without a screen, screen_top_k is not consulted.
+  opts.screen = nullptr;
+  opts.screen_top_k = 0;
+  EXPECT_NO_THROW(ldrg(mst, eval, opts));
 }
 
 TEST(H1, ImprovesOrStopsCleanly) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/parallel.h"
+#include "runtime/status.h"
+#include "runtime/stop.h"
 
 namespace ntr::core {
 namespace {
@@ -126,6 +130,103 @@ TEST(ParallelChunks, IndexOrderedReductionIsLaneCountInvariant) {
     const std::vector<double> a = reduce_with(lanes);
     const std::vector<double> b = reduce_with(lanes);
     EXPECT_EQ(a, b) << "lanes=" << lanes;
+  }
+}
+
+constexpr std::size_t kArgminLaneCounts[] = {1, 2, 3, 8};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ParallelArgmin, TiesGoToTheLowestIndex) {
+  constexpr std::size_t kN = 40;
+  for (const std::size_t lanes : kArgminLaneCounts) {
+    ThreadPool pool(lanes);
+    // Minima at 9, 21 and 38: in one lane or in three, 9 must win.
+    const Argmin got = parallel_argmin(
+        &pool, kN, {}, "test scan", kInf, [](std::size_t i, double) {
+          return (i == 9 || i == 21 || i == 38) ? 1.0 : 2.0;
+        });
+    EXPECT_EQ(got.index, 9u) << "lanes=" << lanes;
+    EXPECT_EQ(got.score, 1.0) << "lanes=" << lanes;
+  }
+}
+
+TEST(ParallelArgmin, EmptyAndShorterThanLaneCount) {
+  for (const std::size_t lanes : kArgminLaneCounts) {
+    ThreadPool pool(lanes);
+    std::atomic<int> calls{0};
+    const Argmin none = parallel_argmin(&pool, 0, {}, "test scan", kInf,
+                                        [&](std::size_t, double) {
+                                          ++calls;
+                                          return 0.0;
+                                        });
+    EXPECT_FALSE(none.found()) << "lanes=" << lanes;
+    EXPECT_EQ(none.index, Argmin::npos);
+    EXPECT_EQ(calls.load(), 0);
+
+    // n = 2 < 3 and < 8 lanes: the idle lanes must not invent a winner.
+    const Argmin two = parallel_argmin(
+        &pool, 2, {}, "test scan", kInf,
+        [](std::size_t i, double) { return i == 0 ? 5.0 : 4.0; });
+    EXPECT_EQ(two.index, 1u) << "lanes=" << lanes;
+    EXPECT_EQ(two.score, 4.0) << "lanes=" << lanes;
+  }
+}
+
+TEST(ParallelArgmin, NothingBelowTheBoundGivesNpos) {
+  for (const std::size_t lanes : kArgminLaneCounts) {
+    ThreadPool pool(lanes);
+    // Equal to the bound is not below it: the bound is strict.
+    const Argmin got = parallel_argmin(
+        &pool, 50, {}, "test scan", 3.0,
+        [](std::size_t i, double lane_bound) {
+          EXPECT_LE(lane_bound, 3.0);
+          return 3.0 + static_cast<double>(i % 3);
+        });
+    EXPECT_FALSE(got.found()) << "lanes=" << lanes;
+    EXPECT_EQ(got.index, Argmin::npos);
+  }
+}
+
+TEST(ParallelArgmin, LaneBoundIsTheLanesBestSoFar) {
+  // One lane: the bound handed to item i is the minimum of the bound and
+  // every score before i -- the branch-and-bound cutoff scorers rely on.
+  const std::vector<double> scores = {7.0, 9.0, 4.0, 6.0, 4.0, 2.0, 8.0};
+  std::vector<double> seen(scores.size());
+  const Argmin got = parallel_argmin(nullptr, scores.size(), {}, "test scan",
+                                     8.0, [&](std::size_t i, double lane_bound) {
+                                       seen[i] = lane_bound;
+                                       return scores[i];
+                                     });
+  EXPECT_EQ(seen, (std::vector<double>{8.0, 7.0, 7.0, 4.0, 4.0, 4.0, 2.0}));
+  EXPECT_EQ(got.index, 5u);
+}
+
+TEST(ParallelArgmin, StopMidScanThrowsTypedErrorAndPoolRecovers) {
+  constexpr std::size_t kN = 200;
+  for (const std::size_t lanes : kArgminLaneCounts) {
+    ThreadPool pool(lanes);
+    runtime::CancelSource source;
+    runtime::StopToken stop;
+    stop.cancel = source.token();
+    // Item 30 trips the token; the lane scoring it polls again within 16
+    // items, so the scan must stop and rethrow after the join.
+    try {
+      static_cast<void>(parallel_argmin(&pool, kN, stop, "argmin test scan", kInf,
+                                        [&](std::size_t i, double) {
+                                          if (i == 30) source.request_cancel();
+                                          return static_cast<double>(i);
+                                        }));
+      FAIL() << "expected a stop, lanes=" << lanes;
+    } catch (const runtime::NtrError& e) {
+      EXPECT_EQ(e.code(), runtime::StatusCode::kCancelled);
+      EXPECT_NE(std::string(e.what()).find("argmin test scan"), std::string::npos)
+          << e.what();
+    }
+    // The pool joined cleanly and runs the next scan normally.
+    const Argmin again = parallel_argmin(
+        &pool, kN, {}, "test scan", kInf,
+        [](std::size_t i, double) { return static_cast<double>(kN - i); });
+    EXPECT_EQ(again.index, kN - 1) << "lanes=" << lanes;
   }
 }
 

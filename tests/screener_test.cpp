@@ -1,10 +1,14 @@
+// The candidate screen of screened LDRG (LdrgOptions::screen): graph
+// Elmore's Sherman-Morrison delta scorer must agree with a full solve of
+// every trial graph, on trees and on bases that already have cycles.
+
 #include <gtest/gtest.h>
 
-#include "core/ldrg.h"
-#include "core/ldrg_screened.h"
+#include <memory>
+
 #include "delay/evaluator.h"
+#include "delay/incremental_elmore.h"
 #include "delay/moments.h"
-#include "delay/screener.h"
 #include "expt/net_generator.h"
 #include "graph/routing_graph.h"
 
@@ -19,19 +23,21 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
   expt::NetGenerator gen(9 + GetParam());
   const graph::Net net = gen.random_net(GetParam());
   const graph::RoutingGraph mst = graph::mst_routing(net);
-  const EdgeCandidateScreener screener(mst, kTech);
+  const GraphElmoreEvaluator eval(kTech);
+  const std::unique_ptr<CandidateScorer> screen = eval.make_candidate_scorer(mst);
+  ASSERT_NE(screen, nullptr);
 
   for (graph::NodeId u = 0; u < mst.node_count(); ++u) {
     for (graph::NodeId v = u + 1; v < mst.node_count(); ++v) {
       if (mst.has_edge(u, v)) continue;
       graph::RoutingGraph with_edge = mst;
       with_edge.add_edge(u, v);
-      const std::vector<double> full = graph_elmore_delays(with_edge, kTech);
-      const std::vector<double> screened = screener.screened_delays(u, v);
+      const std::vector<double> full = eval.sink_delays(with_edge);
+      const std::vector<double> screened = screen->candidate_sink_delays(u, v);
       ASSERT_EQ(full.size(), screened.size());
       for (std::size_t i = 0; i < full.size(); ++i) {
         EXPECT_NEAR(screened[i], full[i], full[i] * 1e-6 + 1e-18)
-            << "edge (" << u << "," << v << ") node " << i;
+            << "edge (" << u << "," << v << ") sink " << i;
       }
     }
   }
@@ -40,10 +46,10 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
 TEST_P(ScreenerTest, BaseDelaysMatchMomentEngine) {
   expt::NetGenerator gen(31 + GetParam());
   const graph::RoutingGraph g = graph::mst_routing(gen.random_net(GetParam()));
-  const EdgeCandidateScreener screener(g, kTech);
+  const IncrementalElmore engine(g, kTech);
   const std::vector<double> reference = graph_elmore_delays(g, kTech);
   for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_NEAR(screener.base_delays()[i], reference[i], reference[i] * 1e-9 + 1e-20);
+    EXPECT_NEAR(engine.base_delays()[i], reference[i], reference[i] * 1e-9 + 1e-20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScreenerTest, ::testing::Values<std::size_t>(5, 8, 12));
@@ -52,11 +58,13 @@ TEST(Screener, WorksOnNonTreeBase) {
   expt::NetGenerator gen(55);
   graph::RoutingGraph g = graph::mst_routing(gen.random_net(9));
   g.add_edge(0, 5);  // base already has a cycle
-  const EdgeCandidateScreener screener(g, kTech);
+  const GraphElmoreEvaluator eval(kTech);
+  const std::unique_ptr<CandidateScorer> screen = eval.make_candidate_scorer(g);
   graph::RoutingGraph with_edge = g;
   with_edge.add_edge(2, 7);
-  const std::vector<double> full = graph_elmore_delays(with_edge, kTech);
-  const std::vector<double> screened = screener.screened_delays(2, 7);
+  const std::vector<double> full = eval.sink_delays(with_edge);
+  const std::vector<double> screened = screen->candidate_sink_delays(2, 7);
+  ASSERT_EQ(full.size(), screened.size());
   for (std::size_t i = 0; i < full.size(); ++i)
     EXPECT_NEAR(screened[i], full[i], full[i] * 1e-6 + 1e-18);
 }
@@ -64,66 +72,12 @@ TEST(Screener, WorksOnNonTreeBase) {
 TEST(Screener, RejectsInvalidPairs) {
   expt::NetGenerator gen(5);
   const graph::RoutingGraph g = graph::mst_routing(gen.random_net(5));
-  const EdgeCandidateScreener screener(g, kTech);
-  EXPECT_THROW(static_cast<void>(screener.screened_delays(1, 1)),
+  const std::unique_ptr<CandidateScorer> screen =
+      GraphElmoreEvaluator(kTech).make_candidate_scorer(g);
+  EXPECT_THROW(static_cast<void>(screen->candidate_sink_delays(1, 1)),
                std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(screener.screened_delays(0, 99)),
+  EXPECT_THROW(static_cast<void>(screen->candidate_sink_delays(0, 99)),
                std::invalid_argument);
-}
-
-TEST(ScreenedLdrg, AgreesWithPlainLdrgOnQuality) {
-  // With the same graph-Elmore oracle, screened LDRG verifying the top-4
-  // candidates should land within a few percent of exhaustive-candidate
-  // LDRG -- the screen and the oracle rank identically, so typically they
-  // coincide exactly.
-  expt::NetGenerator gen(123);
-  const GraphElmoreEvaluator eval(kTech);
-  for (int trial = 0; trial < 5; ++trial) {
-    const graph::Net net = gen.random_net(10);
-    const graph::RoutingGraph mst = graph::mst_routing(net);
-    const core::LdrgResult plain = core::ldrg(mst, eval);
-    core::ScreenedLdrgOptions opts;
-    const core::LdrgResult fast = core::ldrg_screened(mst, eval, kTech, opts);
-    EXPECT_LE(fast.final_objective, plain.final_objective * 1.03);
-    EXPECT_LE(fast.final_objective, fast.initial_objective * (1 + 1e-12));
-  }
-}
-
-TEST(ScreenedLdrg, TransientOracleStillGatesAcceptance) {
-  expt::NetGenerator gen(321);
-  const TransientEvaluator transient(kTech);
-  const graph::Net net = gen.random_net(10);
-  const graph::RoutingGraph mst = graph::mst_routing(net);
-  const core::LdrgResult res = core::ldrg_screened(mst, transient, kTech);
-  // Every accepted step improved the *transient* objective.
-  for (const core::LdrgStep& s : res.steps)
-    EXPECT_LT(s.objective_after, s.objective_before);
-  EXPECT_LE(res.final_objective, res.initial_objective * (1 + 1e-12));
-}
-
-TEST(ScreenedLdrg, CriticalityWeightedObjective) {
-  expt::NetGenerator gen(457);
-  const GraphElmoreEvaluator eval(kTech);
-  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(9));
-  core::ScreenedLdrgOptions opts;
-  opts.base.criticality.assign(mst.sinks().size(), 1.0);
-  const core::LdrgResult res = core::ldrg_screened(mst, eval, kTech, opts);
-  EXPECT_LE(eval.weighted_delay(res.graph, opts.base.criticality),
-            eval.weighted_delay(mst, opts.base.criticality) * (1 + 1e-12));
-
-  // Wrong-sized weights must be rejected at screening time.
-  core::ScreenedLdrgOptions bad;
-  bad.base.criticality = {1.0};
-  EXPECT_THROW(core::ldrg_screened(mst, eval, kTech, bad), std::invalid_argument);
-}
-
-TEST(ScreenedLdrg, OptionValidation) {
-  expt::NetGenerator gen(7);
-  const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(5));
-  const GraphElmoreEvaluator eval(kTech);
-  core::ScreenedLdrgOptions opts;
-  opts.verify_top_k = 0;
-  EXPECT_THROW(core::ldrg_screened(mst, eval, kTech, opts), std::invalid_argument);
 }
 
 }  // namespace
