@@ -1,12 +1,12 @@
 #include "delay/evaluator.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "delay/elmore.h"
 #include "delay/incremental_elmore.h"
 #include "delay/moments.h"
-#include "delay/two_pole.h"
 #include "spice/netlist.h"
 
 namespace ntr::delay {
@@ -22,27 +22,24 @@ std::vector<double> select_sinks(const graph::RoutingGraph& g,
   return out;
 }
 
-/// Incremental what-if scorer backed by the Sherman-Morrison Elmore
-/// cache; `scale` folds in the ln(2) rescale of ScaledElmoreEvaluator.
+/// Incremental what-if scorer backed by the Sherman-Morrison Elmore cache.
 class IncrementalElmoreScorer final : public CandidateScorer {
  public:
-  IncrementalElmoreScorer(const graph::RoutingGraph& g,
-                          const spice::Technology& tech, double scale)
-      : sinks_(g.sinks()), engine_(g, tech), scale_(scale) {}
+  IncrementalElmoreScorer(const graph::RoutingGraph& g, const spice::Technology& tech)
+      : sinks_(g.sinks()), engine_(g, tech) {}
 
   [[nodiscard]] std::vector<double> candidate_sink_delays(
       graph::NodeId u, graph::NodeId v) const override {
     const std::vector<double> per_node = engine_.candidate_delays(u, v);
     std::vector<double> out;
     out.reserve(sinks_.size());
-    for (const graph::NodeId s : sinks_) out.push_back(scale_ * per_node[s]);
+    for (const graph::NodeId s : sinks_) out.push_back(per_node[s]);
     return out;
   }
 
  private:
   std::vector<graph::NodeId> sinks_;
   IncrementalElmore engine_;
-  double scale_;
 };
 
 }  // namespace
@@ -76,53 +73,25 @@ std::vector<double> GraphElmoreEvaluator::sink_delays(
 
 std::unique_ptr<CandidateScorer> GraphElmoreEvaluator::make_candidate_scorer(
     const graph::RoutingGraph& g) const {
-  return std::make_unique<IncrementalElmoreScorer>(g, tech_, 1.0);
-}
-
-std::vector<double> ScaledElmoreEvaluator::sink_delays(
-    const graph::RoutingGraph& g) const {
-  constexpr double kLn2 = 0.6931471805599453;
-  std::vector<double> d = select_sinks(g, graph_elmore_delays(g, tech_));
-  for (double& v : d) v *= kLn2;
-  return d;
-}
-
-std::unique_ptr<CandidateScorer> ScaledElmoreEvaluator::make_candidate_scorer(
-    const graph::RoutingGraph& g) const {
-  constexpr double kLn2 = 0.6931471805599453;
-  return std::make_unique<IncrementalElmoreScorer>(g, tech_, kLn2);
+  return std::make_unique<IncrementalElmoreScorer>(g, tech_);
 }
 
 std::vector<double> TwoPoleEvaluator::sink_delays(const graph::RoutingGraph& g) const {
   return select_sinks(g, d2m_delays(g, tech_));
 }
 
-std::vector<double> TwoPoleWaveformEvaluator::sink_delays(
-    const graph::RoutingGraph& g) const {
-  const std::vector<TwoPoleModel> models = two_pole_models(g, tech_);
-  std::vector<double> out;
-  const std::vector<graph::NodeId> sinks = g.sinks();
-  out.reserve(sinks.size());
-  for (const graph::NodeId s : sinks)
-    out.push_back(models[s].crossing(tech_.threshold_fraction));
-  return out;
-}
-
 std::vector<double> TransientEvaluator::sink_delays(
     const graph::RoutingGraph& g) const {
-  const spice::GraphNetlist netlist = spice::build_netlist(g, tech_, netlist_options_);
-  std::vector<spice::CircuitNode> watch;
-  watch.reserve(netlist.sink_graph_nodes.size());
-  for (const graph::NodeId s : netlist.sink_graph_nodes)
-    watch.push_back(netlist.graph_to_circuit[s]);
-
-  sim::TransientSimulator simulator(netlist.circuit, transient_options_);
-  const auto report = simulator.measure_crossings(watch, tech_.threshold_fraction);
-  return report.crossing_s;
+  return measure(g, std::numeric_limits<double>::infinity()).crossing_s;
 }
 
 double TransientEvaluator::bounded_max_delay(const graph::RoutingGraph& g,
                                              double give_up_s) const {
+  return measure(g, give_up_s).max_crossing_s;
+}
+
+sim::TransientSimulator::ThresholdReport TransientEvaluator::measure(
+    const graph::RoutingGraph& g, double give_up_s) const {
   const spice::GraphNetlist netlist = spice::build_netlist(g, tech_, netlist_options_);
   std::vector<spice::CircuitNode> watch;
   watch.reserve(netlist.sink_graph_nodes.size());
@@ -130,9 +99,7 @@ double TransientEvaluator::bounded_max_delay(const graph::RoutingGraph& g,
     watch.push_back(netlist.graph_to_circuit[s]);
 
   sim::TransientSimulator simulator(netlist.circuit, transient_options_);
-  const auto report =
-      simulator.measure_crossings(watch, tech_.threshold_fraction, give_up_s);
-  return report.max_crossing_s;
+  return simulator.measure_crossings(watch, tech_.threshold_fraction, give_up_s);
 }
 
 std::unique_ptr<DelayEvaluator> make_evaluator(const std::string& name,
@@ -148,6 +115,10 @@ std::unique_ptr<DelayEvaluator> make_evaluator(const std::string& name,
                                                 transient);
   }
   return nullptr;
+}
+
+bool is_evaluator_name(const std::string& name) {
+  return make_evaluator(name, spice::kTable1Technology) != nullptr;
 }
 
 }  // namespace ntr::delay

@@ -107,24 +107,6 @@ class GraphElmoreEvaluator final : public DelayEvaluator {
   spice::Technology tech_;
 };
 
-/// ln(2)-scaled graph Elmore: the classical single-pole 50%-delay rule
-/// (0.693 RC). Cheaper than D2M (one solve) and a much better absolute
-/// estimate than raw Elmore when a single pole dominates; same ranking as
-/// GraphElmoreEvaluator since it only rescales.
-class ScaledElmoreEvaluator final : public DelayEvaluator {
- public:
-  explicit ScaledElmoreEvaluator(const spice::Technology& tech) : tech_(tech) {}
-  [[nodiscard]] std::vector<double> sink_delays(
-      const graph::RoutingGraph& g) const override;
-  [[nodiscard]] std::string name() const override { return "elmore-ln2"; }
-  /// Same delta engine as GraphElmoreEvaluator, with the ln(2) rescale.
-  [[nodiscard]] std::unique_ptr<CandidateScorer> make_candidate_scorer(
-      const graph::RoutingGraph& g) const override;
-
- private:
-  spice::Technology tech_;
-};
-
 /// D2M two-pole metric; two SPD solves, any topology.
 class TwoPoleEvaluator final : public DelayEvaluator {
  public:
@@ -132,22 +114,6 @@ class TwoPoleEvaluator final : public DelayEvaluator {
   [[nodiscard]] std::vector<double> sink_delays(
       const graph::RoutingGraph& g) const override;
   [[nodiscard]] std::string name() const override { return "two-pole-d2m"; }
-
- private:
-  spice::Technology tech_;
-};
-
-/// AWE-style reduced-order model: fits a two-pole waveform per node from
-/// three moment solves and reads the crossing at the technology's
-/// threshold fraction. Unlike the D2M metric (fixed 50% formula), this
-/// respects Technology::threshold_fraction, so it can screen for
-/// non-standard measurement points at moment-solve cost.
-class TwoPoleWaveformEvaluator final : public DelayEvaluator {
- public:
-  explicit TwoPoleWaveformEvaluator(const spice::Technology& tech) : tech_(tech) {}
-  [[nodiscard]] std::vector<double> sink_delays(
-      const graph::RoutingGraph& g) const override;
-  [[nodiscard]] std::string name() const override { return "two-pole-waveform"; }
 
  private:
   spice::Technology tech_;
@@ -175,6 +141,10 @@ class TransientEvaluator final : public DelayEvaluator {
                                          double give_up_s) const override;
 
  private:
+  /// Netlist, sink watch list and one crossing march cut off at give_up_s.
+  [[nodiscard]] sim::TransientSimulator::ThresholdReport measure(
+      const graph::RoutingGraph& g, double give_up_s) const;
+
   spice::Technology tech_;
   spice::NetlistOptions netlist_options_;
   sim::TransientOptions transient_options_;
@@ -188,5 +158,9 @@ class TransientEvaluator final : public DelayEvaluator {
 [[nodiscard]] std::unique_ptr<DelayEvaluator> make_evaluator(
     const std::string& name, const spice::Technology& tech,
     const runtime::StopToken& stop = {});
+
+/// True for exactly the names make_evaluator accepts, so the command
+/// surfaces validate against the one list above.
+[[nodiscard]] bool is_evaluator_name(const std::string& name);
 
 }  // namespace ntr::delay

@@ -1,6 +1,5 @@
 #include "delay/incremental_elmore.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,11 +11,7 @@ namespace ntr::delay {
 
 IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
                                      const spice::Technology& tech)
-    : tech_(tech) {
-  build(g);
-}
-
-void IncrementalElmore::build(const graph::RoutingGraph& g) {
+    : g_(&g), tech_(tech) {
   const GroundedSystem sys = assemble_grounded_system(g, tech_);
   const std::size_t n = g.node_count();
   const linalg::CholeskyFactorization chol(sys.conductance);
@@ -34,25 +29,11 @@ void IncrementalElmore::build(const graph::RoutingGraph& g) {
   }
   cap_ = sys.capacitance;
   m1_ = inverse_.multiply(cap_);
-  sinks_ = g.sinks();
-
-  g_ = &g;
-  node_count_ = g.node_count();
-  edge_count_ = g.edge_count();
-  wirelength_ = g.total_wirelength();
-  ++rebuilds_;
 }
-
-bool IncrementalElmore::matches(const graph::RoutingGraph& g) const {
-  return g_ == &g && node_count_ == g.node_count() &&
-         edge_count_ == g.edge_count() && wirelength_ == g.total_wirelength();
-}
-
-void IncrementalElmore::refresh(const graph::RoutingGraph& g) { build(g); }
 
 std::vector<double> IncrementalElmore::candidate_delays(graph::NodeId u,
                                                         graph::NodeId v) const {
-  const std::size_t n = node_count_;
+  const std::size_t n = m1_.size();
   if (u >= n || v >= n || u == v)
     throw std::invalid_argument("candidate_delays: invalid node pair");
 
@@ -67,10 +48,8 @@ std::vector<double> IncrementalElmore::candidate_delays(graph::NodeId u,
   const double y_u = inverse_(u, u) - inverse_(u, v);
   const double y_v = inverse_(v, u) - inverse_(v, v);
   const double spread = g_e * (y_u - y_v);
-  if (!std::isfinite(spread) || spread > kDeltaConditionLimit) {
-    exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  if (!std::isfinite(spread) || spread > kDeltaConditionLimit)
     return candidate_delays_exact(u, v);
-  }
 
   //   m1' = X c' - g_e * y * (y . c') / (1 + g_e * (y_u - y_v))
   // with X = G^{-1} and X c' = m1 + c_half * (X e_u + X e_v).
@@ -85,8 +64,6 @@ std::vector<double> IncrementalElmore::candidate_delays(graph::NodeId u,
   const double scale = g_e * y_dot_cprime / (1.0 + spread);
   for (std::size_t i = 0; i < n; ++i)
     result[i] -= scale * (inverse_(i, u) - inverse_(i, v));
-
-  delta_evaluations_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
@@ -112,20 +89,6 @@ std::vector<double> IncrementalElmore::candidate_delays_exact(
   sys.capacitance[v] += c_half;
   const linalg::CholeskyFactorization chol(sys.conductance);
   return chol.solve(sys.capacitance);
-}
-
-double IncrementalElmore::base_max_delay() const {
-  double worst = 0.0;
-  for (const graph::NodeId s : sinks_) worst = std::max(worst, m1_[s]);
-  return worst;
-}
-
-IncrementalElmoreStats IncrementalElmore::stats() const {
-  IncrementalElmoreStats s;
-  s.delta_evaluations = delta_evaluations_.load(std::memory_order_relaxed);
-  s.exact_fallbacks = exact_fallbacks_.load(std::memory_order_relaxed);
-  s.rebuilds = rebuilds_;
-  return s;
 }
 
 }  // namespace ntr::delay

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <vector>
 
 #include "graph/routing_graph.h"
@@ -9,24 +7,6 @@
 #include "spice/technology.h"
 
 namespace ntr::delay {
-
-/// Counters describing how an IncrementalElmore cache served its queries.
-/// `delta_evaluations` are O(n) Sherman-Morrison answers off the cached
-/// factorization; `exact_fallbacks` are full dense re-solves forced by an
-/// ill-conditioned update; `rebuilds` counts cache (re)constructions, one
-/// per attached graph revision.
-struct IncrementalElmoreStats {
-  std::size_t delta_evaluations = 0;
-  std::size_t exact_fallbacks = 0;
-  std::size_t rebuilds = 0;
-
-  /// Fraction of candidate queries answered by the O(n) delta path.
-  [[nodiscard]] double hit_rate() const {
-    const std::size_t total = delta_evaluations + exact_fallbacks;
-    return total == 0 ? 1.0 : static_cast<double>(delta_evaluations) /
-                                  static_cast<double>(total);
-  }
-};
 
 /// Incremental graph-Elmore engine for LDRG's inner question: "what are
 /// the per-node Elmore delays of G + e_uv?" asked for every absent pair
@@ -49,27 +29,18 @@ struct IncrementalElmoreStats {
 /// g_e * w^T R w beyond kDeltaConditionLimit), the engine transparently
 /// falls back to an exact dense solve of the trial graph.
 ///
-/// Cache invalidation: the cache is valid for exactly one graph revision.
-/// Inserting an edge (or node) into the routing invalidates it; call
-/// refresh() with the mutated graph before scoring further candidates.
-/// matches() tests the structural signature (node count, edge count, total
-/// wirelength) that every LDRG mutation changes.
+/// Cache invalidation: the cache is valid for exactly one graph revision
+/// and keeps a pointer to it. Inserting an edge (or node) into the routing
+/// invalidates it; build a new engine for the mutated graph, as LDRG does
+/// each round through DelayEvaluator::make_candidate_scorer.
 ///
-/// Thread safety: candidate_delays() is const and safe to call from many
-/// threads concurrently (the stats counters are atomic); build/refresh
-/// must be externally serialized, as with any mutation.
+/// Thread safety: candidate_delays() is const and touches no shared
+/// mutable state, so many threads may query one engine concurrently.
 class IncrementalElmore {
  public:
   /// Builds the cache; O(n^3). Throws std::invalid_argument if g is not
   /// connected.
   IncrementalElmore(const graph::RoutingGraph& g, const spice::Technology& tech);
-
-  /// True when the cache was built against a graph with this structural
-  /// signature (node count, edge count, total wirelength).
-  [[nodiscard]] bool matches(const graph::RoutingGraph& g) const;
-
-  /// Rebuilds the cache against `g` after a mutation; counts a rebuild.
-  void refresh(const graph::RoutingGraph& g);
 
   /// Per-node Elmore delays of the attached graph + edge (u,v); O(n) on
   /// the delta path. (u,v) must be distinct in-range nodes; querying an
@@ -85,10 +56,6 @@ class IncrementalElmore {
 
   /// Base (no added edge) per-node Elmore delays of the attached graph.
   [[nodiscard]] const std::vector<double>& base_delays() const { return m1_; }
-  [[nodiscard]] double base_max_delay() const;
-
-  /// Snapshot of the query counters (monotone across refresh()).
-  [[nodiscard]] IncrementalElmoreStats stats() const;
 
   /// Delta updates whose g_e * w^T G^{-1} w exceed this are answered by
   /// the exact path: past ~1e12 the Sherman-Morrison subtraction cancels
@@ -96,21 +63,11 @@ class IncrementalElmore {
   static constexpr double kDeltaConditionLimit = 1e12;
 
  private:
-  void build(const graph::RoutingGraph& g);
-
-  const graph::RoutingGraph* g_ = nullptr;
+  const graph::RoutingGraph* g_;
   spice::Technology tech_;
-  std::vector<graph::NodeId> sinks_;
   linalg::DenseMatrix inverse_;  ///< transfer resistances R = G^{-1}
   std::vector<double> cap_;      ///< diagonal C (wire halves + sink loads)
   std::vector<double> m1_;       ///< base moments R C
-  std::size_t node_count_ = 0;
-  std::size_t edge_count_ = 0;
-  double wirelength_ = 0.0;
-
-  mutable std::atomic<std::size_t> delta_evaluations_{0};
-  mutable std::atomic<std::size_t> exact_fallbacks_{0};
-  std::size_t rebuilds_ = 0;
 };
 
 }  // namespace ntr::delay

@@ -7,67 +7,40 @@
 
 namespace ntr::delay {
 
-namespace {
-
-constexpr double kShortResistanceOhm = 1e-6;  // matches spice::build_netlist
-
-}  // namespace
-
 double wire_conductance(double length_um, double width,
                         const spice::Technology& tech) {
   const double r = length_um > 0.0 ? tech.wire_resistance(length_um, width)
-                                   : kShortResistanceOhm;
+                                   : spice::kShortResistanceOhm;
   return 1.0 / r;
-}
-
-GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
-                                        const spice::Technology& tech) {
-  if (!g.is_connected())
-    throw std::invalid_argument("moment analysis: routing graph must be connected");
-  const std::size_t n = g.node_count();
-  GroundedSystem sys{linalg::DenseMatrix(n, n), std::vector<double>(n, 0.0)};
-
-  for (const graph::GraphEdge& e : g.edges()) {
-    const double conductance = wire_conductance(e.length, e.width, tech);
-    sys.conductance(e.u, e.u) += conductance;
-    sys.conductance(e.v, e.v) += conductance;
-    sys.conductance(e.u, e.v) -= conductance;
-    sys.conductance(e.v, e.u) -= conductance;
-    const double c_half = tech.wire_capacitance(e.length, e.width) / 2.0;
-    sys.capacitance[e.u] += c_half;
-    sys.capacitance[e.v] += c_half;
-  }
-  // Norton-transformed driver: with the ideal step shorted, the driver
-  // resistance grounds the source node.
-  sys.conductance(g.source(), g.source()) += 1.0 / tech.driver_resistance_ohm;
-  for (graph::NodeId u = 0; u < n; ++u)
-    if (g.node(u).kind == graph::NodeKind::kSink)
-      sys.capacitance[u] += tech.sink_capacitance_f;
-  return sys;
-}
-
-linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
-                                           const spice::Technology& tech) {
-  if (!g.is_connected())
-    throw std::invalid_argument("moment analysis: routing graph must be connected");
-  const std::size_t n = g.node_count();
-  linalg::TripletBuilder builder(n, n);
-  for (const graph::GraphEdge& e : g.edges()) {
-    const double conductance = wire_conductance(e.length, e.width, tech);
-    builder.add(e.u, e.u, conductance);
-    builder.add(e.v, e.v, conductance);
-    builder.add(e.u, e.v, -conductance);
-    builder.add(e.v, e.u, -conductance);
-  }
-  builder.add(g.source(), g.source(), 1.0 / tech.driver_resistance_ohm);
-  return linalg::CsrMatrix(builder);
 }
 
 namespace {
 
-/// Diagonal capacitance vector (shared by both solver paths).
-std::vector<double> capacitance_vector(const graph::RoutingGraph& g,
-                                       const spice::Technology& tech) {
+void require_connected(const graph::RoutingGraph& g) {
+  if (!g.is_connected())
+    throw std::invalid_argument("moment analysis: routing graph must be connected");
+}
+
+/// Stamps the grounded conductance matrix through add_entry(row, col, value):
+/// each wire's conductance, then the Norton-transformed driver (with the
+/// ideal step shorted, the driver resistance grounds the source node).
+template <class AddEntry>
+void stamp_conductance(const graph::RoutingGraph& g, const spice::Technology& tech,
+                       AddEntry add_entry) {
+  for (const graph::GraphEdge& e : g.edges()) {
+    const double conductance = wire_conductance(e.length, e.width, tech);
+    add_entry(e.u, e.u, conductance);
+    add_entry(e.v, e.v, conductance);
+    add_entry(e.u, e.v, -conductance);
+    add_entry(e.v, e.u, -conductance);
+  }
+  add_entry(g.source(), g.source(), 1.0 / tech.driver_resistance_ohm);
+}
+
+/// Diagonal capacitance vector: half of each wire cap at either endpoint,
+/// plus the sink loads.
+std::vector<double> grounded_capacitance(const graph::RoutingGraph& g,
+                                         const spice::Technology& tech) {
   std::vector<double> cap(g.node_count(), 0.0);
   for (const graph::GraphEdge& e : g.edges()) {
     const double c_half = tech.wire_capacitance(e.length, e.width) / 2.0;
@@ -80,44 +53,69 @@ std::vector<double> capacitance_vector(const graph::RoutingGraph& g,
   return cap;
 }
 
-MomentAnalysis moments_sparse(const graph::RoutingGraph& g,
-                              const spice::Technology& tech, bool want_m2) {
-  const linalg::EnvelopeCholesky chol(grounded_conductance_csr(g, tech));
-  const std::vector<double> cap = capacitance_vector(g, tech);
+linalg::DenseMatrix dense_conductance(const graph::RoutingGraph& g,
+                                      const spice::Technology& tech) {
+  const std::size_t n = g.node_count();
+  linalg::DenseMatrix conductance(n, n);
+  stamp_conductance(g, tech, [&](std::size_t r, std::size_t c, double v) {
+    conductance(r, c) += v;
+  });
+  return conductance;
+}
+
+linalg::CsrMatrix sparse_conductance(const graph::RoutingGraph& g,
+                                     const spice::Technology& tech) {
+  linalg::TripletBuilder builder(g.node_count(), g.node_count());
+  stamp_conductance(g, tech, [&](std::size_t r, std::size_t c, double v) {
+    builder.add(r, c, v);
+  });
+  return linalg::CsrMatrix(builder);
+}
+
+/// G m1 = C and, when asked, G m2 = C m1 over one factorization of G:
+/// dense Cholesky up to kDenseMomentNodeLimit nodes, RCM + envelope
+/// Cholesky above.
+MomentAnalysis solve_moments(const graph::RoutingGraph& g,
+                             const spice::Technology& tech, bool want_m2) {
+  require_connected(g);
+  const std::vector<double> cap = grounded_capacitance(g, tech);
   MomentAnalysis result;
-  result.m1 = chol.solve(cap);
-  if (want_m2) {
+  const auto solve_with = [&](const auto& chol) {
+    result.m1 = chol.solve(cap);
+    if (!want_m2) return;
     std::vector<double> c_m1(cap.size());
     for (std::size_t i = 0; i < cap.size(); ++i) c_m1[i] = cap[i] * result.m1[i];
     result.m2 = chol.solve(c_m1);
-  }
+  };
+  if (g.node_count() > kDenseMomentNodeLimit)
+    solve_with(linalg::EnvelopeCholesky(sparse_conductance(g, tech)));
+  else
+    solve_with(linalg::CholeskyFactorization(dense_conductance(g, tech)));
   return result;
 }
 
 }  // namespace
 
+GroundedSystem assemble_grounded_system(const graph::RoutingGraph& g,
+                                        const spice::Technology& tech) {
+  require_connected(g);
+  return {dense_conductance(g, tech), grounded_capacitance(g, tech)};
+}
+
+linalg::CsrMatrix grounded_conductance_csr(const graph::RoutingGraph& g,
+                                           const spice::Technology& tech) {
+  require_connected(g);
+  return sparse_conductance(g, tech);
+}
+
 MomentAnalysis moment_analysis(const graph::RoutingGraph& g,
                                const spice::Technology& tech) {
-  if (g.node_count() > kDenseMomentNodeLimit)
-    return moments_sparse(g, tech, /*want_m2=*/true);
-  const GroundedSystem sys = assemble_grounded_system(g, tech);
-  const linalg::CholeskyFactorization chol(sys.conductance);
-  MomentAnalysis result;
-  result.m1 = chol.solve(sys.capacitance);
-  std::vector<double> c_m1(sys.capacitance.size());
-  for (std::size_t i = 0; i < c_m1.size(); ++i)
-    c_m1[i] = sys.capacitance[i] * result.m1[i];
-  result.m2 = chol.solve(c_m1);
-  return result;
+  return solve_moments(g, tech, /*want_m2=*/true);
 }
 
 std::vector<double> graph_elmore_delays(const graph::RoutingGraph& g,
                                         const spice::Technology& tech) {
-  if (g.node_count() > kDenseMomentNodeLimit)
-    return moments_sparse(g, tech, /*want_m2=*/false).m1;
-  const GroundedSystem sys = assemble_grounded_system(g, tech);
-  const linalg::CholeskyFactorization chol(sys.conductance);
-  return chol.solve(sys.capacitance);
+  return solve_moments(g, tech, /*want_m2=*/false).m1;
 }
 
 std::vector<double> d2m_delays(const graph::RoutingGraph& g,

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "delay/evaluator.h"
+
 namespace ntr::io {
 
 core::Strategy strategy_from_name(const std::string& name) {
@@ -132,8 +134,7 @@ CliOptions parse_cli(std::span<const std::string> args) {
       opts.strategy = strategy_from_name(next(i, arg));
     } else if (arg == "--evaluator") {
       opts.evaluator = next(i, arg);
-      if (opts.evaluator != "transient" && opts.evaluator != "elmore" &&
-          opts.evaluator != "graph-elmore" && opts.evaluator != "d2m")
+      if (!delay::is_evaluator_name(opts.evaluator))
         throw std::invalid_argument("unknown --evaluator '" + opts.evaluator + "'");
     } else if (arg == "--max-edges") {
       opts.max_edges = parse_uint(arg, next(i, arg));

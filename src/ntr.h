@@ -8,7 +8,7 @@
 ///
 ///   geom/     points, Manhattan metric, Hanan grid, rectilinear segments
 ///   graph/    routing graphs with cycles, MST, paths, bridges, embedding
-///   linalg/   dense LU/Cholesky, CSR + conjugate gradient
+///   linalg/   dense LU/Cholesky, CSR + RCM/envelope sparse Cholesky
 ///   spice/    Table-1 technology, linear netlists, deck I/O, graph->RC
 ///   sim/      MNA, DC/moments, transient engine (the SPICE substitute)
 ///   delay/    Elmore (tree + graph), D2M, bounds, incremental
@@ -34,7 +34,6 @@
 #include "delay/elmore.h"  // IWYU pragma: export
 #include "delay/evaluator.h"  // IWYU pragma: export
 #include "delay/moments.h"  // IWYU pragma: export
-#include "delay/two_pole.h"  // IWYU pragma: export
 #include "expt/comparison.h"  // IWYU pragma: export
 #include "expt/net_generator.h"  // IWYU pragma: export
 #include "expt/protocol.h"  // IWYU pragma: export

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "delay/evaluator.h"
 #include "io/cli.h"
 
 namespace ntr::serve {
@@ -104,8 +105,7 @@ runtime::StatusOr<Request> parse_request(const Json& doc) {
     if (!evaluator->is_string())
       return bad_request("evaluator must be a string");
     req.evaluator = evaluator->as_string();
-    if (req.evaluator != "transient" && req.evaluator != "elmore" &&
-        req.evaluator != "graph-elmore" && req.evaluator != "d2m")
+    if (!delay::is_evaluator_name(req.evaluator))
       return bad_request("unknown evaluator '" + req.evaluator + "'");
   }
   if (const Json* on_error = doc.find("on_error")) {

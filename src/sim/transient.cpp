@@ -20,6 +20,12 @@ namespace {
 /// deadline overshoot to a handful of LU solves.
 constexpr std::size_t kStopPollStride = 64;
 
+/// Auto step tau / kStepsPerTau, auto horizon kMaxTauMultiple * tau, and
+/// the backward-Euler steps every march takes before its Integration.
+constexpr double kStepsPerTau = 200.0;
+constexpr double kMaxTauMultiple = 40.0;
+constexpr std::size_t kStartupBeSteps = 2;
+
 /// Polls on step 1 (so even the shortest march honors an already-expired
 /// deadline) and every kStopPollStride steps after.
 [[nodiscard]] bool is_poll_step(std::size_t step) {
@@ -71,10 +77,8 @@ TransientSimulator::TransientSimulator(const spice::Circuit& circuit,
     tau_ = 1e-12;
   }
 
-  h_ = options_.time_step_s > 0.0 ? options_.time_step_s
-                                  : tau_ / std::max(options_.steps_per_tau, 1.0);
-  t_max_ = options_.max_time_s > 0.0 ? options_.max_time_s
-                                     : tau_ * std::max(options_.max_tau_multiple, 1.0);
+  h_ = options_.time_step_s > 0.0 ? options_.time_step_s : tau_ / kStepsPerTau;
+  t_max_ = options_.max_time_s > 0.0 ? options_.max_time_s : tau_ * kMaxTauMultiple;
   if (t_max_ < h_) t_max_ = h_;
 
   // The stepping loops divide by h_ and iterate to t_max_; a non-finite or
@@ -87,18 +91,18 @@ TransientSimulator::TransientSimulator(const spice::Circuit& circuit,
 }
 
 void TransientSimulator::ensure_factorizations() {
-  const bool need_be = options_.method == Integration::kBackwardEuler ||
-                       options_.startup_be_steps > 0;
-  const bool need_trap = options_.method == Integration::kTrapezoidal;
-  if (need_be && !lu_be_)
+  // Every march starts with backward-Euler steps, so BE is always needed.
+  if (!lu_be_)
     lu_be_ = std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 1.0 / h_));
-  if (need_trap && !lu_trap_)
+  if (options_.method == Integration::kTrapezoidal && !lu_trap_)
     lu_trap_ =
         std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 2.0 / h_));
 }
 
-void TransientSimulator::advance(linalg::Vector& x, bool use_be) const {
+void TransientSimulator::advance(linalg::Vector& x, std::size_t step) const {
   const std::size_t n = mna_.size();
+  const bool use_be =
+      options_.method == Integration::kBackwardEuler || step <= kStartupBeSteps;
   NTR_DCHECK(x.size() == n);
   NTR_DCHECK(use_be ? lu_be_ != nullptr : lu_trap_ != nullptr);
   linalg::Vector rhs(n);
@@ -140,107 +144,8 @@ TransientSimulator::Waveform TransientSimulator::run(
       NTR_FAULT_POINT(kTransientDeadline);
       if (stop_engaged) options_.stop.throw_if_stopped("transient run");
     }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
+    advance(x, step);
     record(static_cast<double>(step) * h_);
-  }
-  return wf;
-}
-
-TransientSimulator::Waveform TransientSimulator::run_adaptive(
-    double t_end_s, std::span<const spice::CircuitNode> watch,
-    double rel_tolerance) {
-  if (rel_tolerance <= 0.0)
-    throw std::invalid_argument("run_adaptive: tolerance must be positive");
-  const double t_end = std::min(t_end_s, t_max_);
-
-  // Error scale: the largest final node voltage (the step swing).
-  double swing = 0.0;
-  for (std::size_t i = 0; i < mna_.node_unknowns; ++i)
-    swing = std::max(swing, std::abs(x_inf_[i]));
-  if (swing <= 0.0) swing = 1.0;
-  const double abs_tol = rel_tolerance * swing;
-
-  // Factorization cache per step size; steps move by factors of two, so
-  // only a handful of sizes ever materialize.
-  struct Pair {
-    std::unique_ptr<linalg::LuFactorization> be, trap;
-  };
-  std::vector<std::pair<double, Pair>> cache;
-  const auto factors = [&](double h) -> Pair& {
-    for (auto& [key, pair] : cache)
-      if (key == h) return pair;
-    cache.emplace_back(h, Pair{});
-    Pair& pair = cache.back().second;
-    pair.be =
-        std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 1.0 / h));
-    pair.trap =
-        std::make_unique<linalg::LuFactorization>(companion_matrix(mna_, 2.0 / h));
-    return pair;
-  };
-
-  const auto step_with = [&](const linalg::Vector& x, double h, const Pair& f,
-                             bool use_be) {
-    const std::size_t n = mna_.size();
-    linalg::Vector rhs(n);
-    if (use_be) {
-      rhs = mna_.c.multiply(x);
-      for (std::size_t i = 0; i < n; ++i) rhs[i] = rhs[i] / h + mna_.b_final[i];
-      return f.be->solve(rhs);
-    }
-    const linalg::Vector cx = mna_.c.multiply(x);
-    const linalg::Vector gx = mna_.g.multiply(x);
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = 2.0 * cx[i] / h - gx[i] + 2.0 * mna_.b_final[i];
-    return f.trap->solve(rhs);
-  };
-
-  Waveform wf;
-  wf.voltage_v.resize(watch.size());
-  linalg::Vector x(mna_.size(), 0.0);
-  double t = 0.0;
-  // Start well below the fixed-step default to resolve fast poles; the
-  // controller grows it as the response smooths out.
-  double h = h_ / 64.0;
-  const double h_max = std::max(h_, (t_end > 0 ? t_end : h_) / 16.0);
-  const double h_min = h_ / 65536.0;
-
-  const auto record = [&]() {
-    wf.time_s.push_back(t);
-    for (std::size_t k = 0; k < watch.size(); ++k)
-      wf.voltage_v[k].push_back(mna_.node_voltage(x, watch[k]));
-  };
-  record();
-
-  // The very first step is BE-only (inconsistent initial condition).
-  bool startup = true;
-  const bool stop_engaged = options_.stop.engaged();
-  std::size_t guard = 0;
-  while (t < t_end && ++guard < 10'000'000) {
-    if (is_poll_step(guard)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient adaptive run");
-    }
-    h = std::min(h, std::max(t_end - t, h_min));
-    const Pair& f = factors(h);
-    const linalg::Vector x_trap = step_with(x, h, f, /*use_be=*/startup);
-    const linalg::Vector x_be = step_with(x, h, f, /*use_be=*/true);
-
-    // LTE estimate: BE-vs-trapezoidal disagreement over node voltages.
-    double err = 0.0;
-    for (std::size_t i = 0; i < mna_.node_unknowns; ++i)
-      err = std::max(err, std::abs(x_trap[i] - x_be[i]));
-
-    if (err > abs_tol && h > h_min && !startup) {
-      h *= 0.5;  // reject and retry smaller
-      continue;
-    }
-    x = x_trap;
-    t += h;
-    startup = false;
-    record();
-    if (err < abs_tol / 8.0 && h < h_max) h *= 2.0;
   }
   return wf;
 }
@@ -289,9 +194,7 @@ TransientSimulator::ThresholdReport TransientSimulator::measure_crossings(
       NTR_FAULT_POINT(kTransientNonFinite);
       if (stop_engaged) options_.stop.throw_if_stopped("transient march");
     }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
+    advance(x, step);
     const double t_next = static_cast<double>(step) * h_;
     for (std::size_t k = 0; k < watch.size(); ++k) {
       if (report.crossing_s[k] != kInf || threshold[k] == kInf) continue;
@@ -318,99 +221,6 @@ TransientSimulator::ThresholdReport TransientSimulator::measure_crossings(
     if (c == kInf) report.all_crossed = false;
   }
   return report;
-}
-
-TransientSimulator::MultiThresholdReport TransientSimulator::measure_multi_crossings(
-    std::span<const spice::CircuitNode> watch, std::span<const double> fractions) {
-  for (std::size_t f = 0; f < fractions.size(); ++f) {
-    if (fractions[f] <= 0.0 || fractions[f] >= 1.0)
-      throw std::invalid_argument("measure_multi_crossings: fraction must be in (0,1)");
-    if (f > 0 && fractions[f] <= fractions[f - 1])
-      throw std::invalid_argument(
-          "measure_multi_crossings: fractions must be strictly increasing");
-  }
-  ensure_factorizations();
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  MultiThresholdReport report;
-  report.crossing_s.assign(fractions.size(),
-                           std::vector<double>(watch.size(), kInf));
-  report.final_v.resize(watch.size());
-
-  std::size_t pending = 0;
-  std::vector<bool> reachable(watch.size(), false);
-  for (std::size_t k = 0; k < watch.size(); ++k) {
-    report.final_v[k] = mna_.node_voltage(x_inf_, watch[k]);
-    if (std::abs(report.final_v[k]) >= 1e-12) {
-      reachable[k] = true;
-      pending += fractions.size();
-    }
-  }
-
-  linalg::Vector x(mna_.size(), 0.0);
-  std::vector<double> prev(watch.size(), 0.0);
-  // next_fraction[k]: index of the lowest threshold node k has not crossed.
-  std::vector<std::size_t> next_fraction(watch.size(), 0);
-  double t = 0.0;
-  const auto total_steps = static_cast<std::size_t>(std::ceil(t_max_ / h_));
-
-  const bool stop_engaged = options_.stop.engaged();
-  for (std::size_t step = 1; step <= total_steps && pending > 0; ++step) {
-    if (is_poll_step(step)) {
-      NTR_FAULT_POINT(kTransientDeadline);
-      if (stop_engaged) options_.stop.throw_if_stopped("transient multi march");
-    }
-    const bool use_be = options_.method == Integration::kBackwardEuler ||
-                        step <= options_.startup_be_steps;
-    advance(x, use_be);
-    for (std::size_t k = 0; k < watch.size(); ++k) {
-      if (!reachable[k]) continue;
-      const double v = mna_.node_voltage(x, watch[k]);
-      if (!std::isfinite(v))
-        throw_non_finite("measure_multi_crossings", watch[k],
-                         static_cast<double>(step) * h_);
-      while (next_fraction[k] < fractions.size()) {
-        const double threshold = fractions[next_fraction[k]] * report.final_v[k];
-        if (v < threshold) break;
-        const double dv = v - prev[k];
-        const double frac = dv > 0.0 ? (threshold - prev[k]) / dv : 1.0;
-        report.crossing_s[next_fraction[k]][k] = t + frac * h_;
-        ++next_fraction[k];
-        --pending;
-      }
-      prev[k] = v;
-    }
-    t = static_cast<double>(step) * h_;
-  }
-
-  report.all_crossed = pending == 0 && watch.size() > 0 &&
-                       std::all_of(reachable.begin(), reachable.end(),
-                                   [](bool r) { return r; });
-  return report;
-}
-
-std::vector<double> TransientSimulator::measure_rise_times(
-    std::span<const spice::CircuitNode> watch, double lo_fraction,
-    double hi_fraction) {
-  if (lo_fraction >= hi_fraction)
-    throw std::invalid_argument("measure_rise_times: lo must be below hi");
-  const double fractions[] = {lo_fraction, hi_fraction};
-  const MultiThresholdReport report = measure_multi_crossings(watch, fractions);
-  std::vector<double> rise(watch.size());
-  for (std::size_t k = 0; k < watch.size(); ++k) {
-    const double lo = report.crossing_s[0][k];
-    const double hi = report.crossing_s[1][k];
-    rise[k] = std::isinf(hi) ? hi : hi - lo;
-  }
-  return rise;
-}
-
-double max_threshold_delay(const spice::Circuit& circuit,
-                           std::span<const spice::CircuitNode> watch,
-                           const TransientOptions& options,
-                           double threshold_fraction) {
-  TransientSimulator sim(circuit, options);
-  return sim.measure_crossings(watch, threshold_fraction).max_crossing_s;
 }
 
 }  // namespace ntr::sim

@@ -19,21 +19,19 @@ enum class Integration {
 };
 
 struct TransientOptions {
-  /// Fixed step; 0 selects tau_max / steps_per_tau automatically, where
-  /// tau_max is the largest per-node first-moment (Elmore) time constant.
+  /// Fixed step; 0 selects tau_max / 200 automatically, where tau_max is
+  /// the largest per-node first-moment (Elmore) time constant.
   double time_step_s = 0.0;
-  /// Simulation horizon; 0 selects max_tau_multiple * tau_max.
+  /// Simulation horizon; 0 selects 40 * tau_max.
   double max_time_s = 0.0;
+  /// The integrator after the two backward-Euler startup steps, which
+  /// absorb the inconsistent initial condition of the ideal step without
+  /// ringing. kBackwardEuler runs every step with it.
   Integration method = Integration::kTrapezoidal;
-  /// Backward-Euler steps taken before switching to trapezoidal, absorbing
-  /// the inconsistent initial condition of the ideal step without ringing.
-  unsigned startup_be_steps = 2;
-  double steps_per_tau = 200.0;
-  double max_tau_multiple = 40.0;
   /// Cooperative deadline/cancellation, polled every 64 steps of the
-  /// time-march loops. An un-engaged token (the default) costs one bool
-  /// test per poll and leaves every waveform bit-identical. A tripped
-  /// token unwinds with NtrError (kTimeout / kCancelled).
+  /// time march. An un-engaged token (the default) costs one bool test
+  /// per poll and leaves every waveform bit-identical. A tripped token
+  /// unwinds with NtrError (kTimeout / kCancelled).
   runtime::StopToken stop{};
 };
 
@@ -67,16 +65,6 @@ class TransientSimulator {
   /// nodes at every step.
   Waveform run(double t_end_s, std::span<const spice::CircuitNode> watch);
 
-  /// Adaptive-step waveform capture: every step is taken with both
-  /// backward Euler and trapezoidal companions; their difference
-  /// estimates the local truncation error, and the step size halves /
-  /// doubles to hold the estimate near rel_tolerance x the final swing.
-  /// Non-uniform time points. Useful for circuits with well-separated
-  /// time constants, where the fixed step derived from the largest
-  /// constant under-resolves the fast initial transient.
-  Waveform run_adaptive(double t_end_s, std::span<const spice::CircuitNode> watch,
-                        double rel_tolerance = 1e-4);
-
   struct ThresholdReport {
     /// First time each watched node reaches threshold_fraction of its own
     /// final value (linearly interpolated); +inf if never within max_time.
@@ -102,26 +90,6 @@ class TransientSimulator {
       std::span<const spice::CircuitNode> watch, double threshold_fraction = 0.5,
       double give_up_after_s = std::numeric_limits<double>::infinity());
 
-  struct MultiThresholdReport {
-    /// crossing_s[f][k]: first time watched node k reaches fraction f of
-    /// its final value; +inf if never within max_time.
-    std::vector<std::vector<double>> crossing_s;
-    std::vector<double> final_v;
-    bool all_crossed = false;
-  };
-
-  /// Like measure_crossings but for several threshold fractions in one
-  /// sweep (fractions must be strictly increasing, each in (0,1)).
-  MultiThresholdReport measure_multi_crossings(
-      std::span<const spice::CircuitNode> watch, std::span<const double> fractions);
-
-  /// 10%-to-90% rise time (slew) per watched node: the waveform-quality
-  /// metric that complements the 50% delay. +inf for nodes that never
-  /// settle.
-  std::vector<double> measure_rise_times(std::span<const spice::CircuitNode> watch,
-                                         double lo_fraction = 0.1,
-                                         double hi_fraction = 0.9);
-
  private:
   MnaSystem mna_;
   linalg::Vector x_inf_;
@@ -135,15 +103,9 @@ class TransientSimulator {
   std::unique_ptr<linalg::LuFactorization> lu_trap_;
 
   void ensure_factorizations();
-  /// Advances x by one step of size h_; `use_be` picks the method.
-  void advance(linalg::Vector& x, bool use_be) const;
+  /// Advances x by march step `step` (1-based) of size h_: backward Euler
+  /// for the startup steps or under kBackwardEuler, trapezoidal otherwise.
+  void advance(linalg::Vector& x, std::size_t step) const;
 };
-
-/// Convenience: max 50%-threshold delay over all watched nodes of a
-/// circuit's step response.
-double max_threshold_delay(const spice::Circuit& circuit,
-                           std::span<const spice::CircuitNode> watch,
-                           const TransientOptions& options = {},
-                           double threshold_fraction = 0.5);
 
 }  // namespace ntr::sim

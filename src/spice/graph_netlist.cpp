@@ -1,27 +1,9 @@
 #include "spice/graph_netlist.h"
 
-#include <cmath>
+#include <algorithm>
 #include <string>
 
 namespace ntr::spice {
-
-namespace {
-
-/// Resistance used for zero-length connections (coincident points joined
-/// by a degenerate wire): electrically a short, numerically well-posed.
-constexpr double kShortResistanceOhm = 1e-6;
-
-unsigned section_count(const NetlistOptions& options, double length_um) {
-  unsigned sections = options.segments_per_edge == 0 ? 1 : options.segments_per_edge;
-  if (options.max_segment_length_um > 0.0) {
-    const auto needed =
-        static_cast<unsigned>(std::ceil(length_um / options.max_segment_length_um));
-    sections = std::max(sections, std::max(needed, 1u));
-  }
-  return sections;
-}
-
-}  // namespace
 
 GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
                            const NetlistOptions& options) {
@@ -55,7 +37,7 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
       continue;
     }
 
-    const unsigned sections = section_count(options, edge.length);
+    const unsigned sections = std::max(options.segments_per_edge, 1u);
     const double seg_len = edge.length / sections;
     const double seg_r = tech.wire_resistance(seg_len, edge.width);
     const double seg_c = tech.wire_capacitance(seg_len, edge.width);
@@ -86,15 +68,11 @@ GraphNetlist build_netlist(const graph::RoutingGraph& g, const Technology& tech,
 
   // Pin loads.
   for (graph::NodeId n = 0; n < g.node_count(); ++n) {
-    const bool is_sink = g.node(n).kind == graph::NodeKind::kSink;
-    const bool is_loaded_source =
-        options.load_source_pin && g.node(n).kind == graph::NodeKind::kSource;
-    if (is_sink || is_loaded_source) {
-      // ntr-alloc-in-hot-path(load element name; Circuit debug contract)
-      ckt.add_capacitor("Cload" + std::to_string(n), out.graph_to_circuit[n], kGround,
-                        tech.sink_capacitance_f);
-    }
-    if (is_sink) out.sink_graph_nodes.push_back(n);
+    if (g.node(n).kind != graph::NodeKind::kSink) continue;
+    // ntr-alloc-in-hot-path(load element name; Circuit debug contract)
+    ckt.add_capacitor("Cload" + std::to_string(n), out.graph_to_circuit[n], kGround,
+                      tech.sink_capacitance_f);
+    out.sink_graph_nodes.push_back(n);
   }
 
   return out;

@@ -15,17 +15,9 @@ struct NetlistOptions {
   /// (see bench/ablation_segmentation for the convergence study).
   unsigned segments_per_edge = 1;
 
-  /// When positive, each edge instead uses ceil(length / max_segment_length_um)
-  /// sections (at least segments_per_edge). Keeps long wires accurate
-  /// without over-modeling short ones.
-  double max_segment_length_um = 0.0;
-
   /// Include the series wire inductance of Table 1 (RLC lines). Off by
   /// default: at 0.8um geometries wL << R, see bench/ablation_inductance.
   bool include_inductance = false;
-
-  /// Attach the sink loading capacitance to the source pin as well.
-  bool load_source_pin = false;
 };
 
 /// A circuit built from a routing graph, with the mapping needed to read

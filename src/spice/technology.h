@@ -30,6 +30,11 @@ struct Technology {
   }
 };
 
+/// Resistance of a zero-length wire (coincident points joined by a
+/// degenerate edge): electrically a short, numerically well-posed. The
+/// netlist builder and the moment solvers both use it.
+inline constexpr double kShortResistanceOhm = 1e-6;
+
 /// The paper's default technology instance.
 inline constexpr Technology kTable1Technology{};
 

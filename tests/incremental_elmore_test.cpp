@@ -55,7 +55,6 @@ TEST(IncrementalElmore, DeltaMatchesFullRecomputeOn200RandomNets) {
       g.add_edge(0, g.node_count() - 1);
 
     const IncrementalElmore engine(g, kTech);
-    ASSERT_TRUE(engine.matches(g));
 
     // A random absent pair.
     graph::NodeId u = 0, v = 0;
@@ -80,59 +79,6 @@ TEST(IncrementalElmore, ExactPathAgreesWithDeltaPath) {
   const std::vector<double> delta = engine.candidate_delays(1, 5);
   const std::vector<double> exact = engine.candidate_delays_exact(1, 5);
   expect_delays_close(delta, exact, max_abs(exact), "exact-vs-delta");
-}
-
-TEST(IncrementalElmore, CacheInvalidationAfterEdgeInsertion) {
-  expt::NetGenerator gen(33);
-  graph::RoutingGraph g = graph::mst_routing(gen.random_net(10));
-  IncrementalElmore engine(g, kTech);
-  ASSERT_TRUE(engine.matches(g));
-
-  // Mutate the routing: the old cache must report a stale signature, and
-  // refresh() must bring the delta path back into 1e-12 agreement.
-  graph::NodeId u = 0, v = 0;
-  for (u = 0; u < g.node_count() && v == 0; ++u)
-    for (graph::NodeId w = u + 1; w < g.node_count(); ++w)
-      if (!g.has_edge(u, w)) {
-        v = w;
-        break;
-      }
-  --u;
-  g.add_edge(u, v);
-  EXPECT_FALSE(engine.matches(g));
-
-  engine.refresh(g);
-  EXPECT_TRUE(engine.matches(g));
-  const std::vector<double> base = engine.base_delays();
-  const std::vector<double> full = graph_elmore_delays(g, kTech);
-  expect_delays_close(base, full, max_abs(full), "post-refresh base");
-
-  graph::NodeId a = 0, b = 0;
-  std::mt19937_64 rng(5);
-  do {
-    a = static_cast<graph::NodeId>(rng() % g.node_count());
-    b = static_cast<graph::NodeId>(rng() % g.node_count());
-  } while (a == b || g.has_edge(a, b));
-  graph::RoutingGraph trial = g;
-  trial.add_edge(a, b);
-  expect_delays_close(engine.candidate_delays(a, b),
-                      graph_elmore_delays(trial, kTech),
-                      max_abs(engine.base_delays()), "post-refresh delta");
-  EXPECT_EQ(engine.stats().rebuilds, 2u);
-}
-
-TEST(IncrementalElmore, StatsCountQueries) {
-  expt::NetGenerator gen(11);
-  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(8));
-  const IncrementalElmore engine(g, kTech);
-  EXPECT_EQ(engine.stats().delta_evaluations, 0u);
-  EXPECT_EQ(engine.stats().rebuilds, 1u);
-  (void)engine.candidate_delays(0, 3);
-  (void)engine.candidate_delays(1, 4);
-  const IncrementalElmoreStats s = engine.stats();
-  EXPECT_EQ(s.delta_evaluations + s.exact_fallbacks, 2u);
-  EXPECT_GE(s.hit_rate(), 0.0);
-  EXPECT_LE(s.hit_rate(), 1.0);
 }
 
 TEST(IncrementalElmore, RejectsDisconnectedGraphs) {

@@ -69,7 +69,7 @@ TEST(Transient, RcStepMatchesAnalyticHalfDelay) {
 TEST(Transient, RcStepWaveformMatchesExponential) {
   const double r = 500.0, c = 2e-12;  // tau = 1ns
   TransientOptions opts;
-  opts.steps_per_tau = 400.0;
+  opts.time_step_s = r * c / 400.0;
   TransientSimulator sim(rc_lowpass(r, c), opts);
   const std::vector<spice::CircuitNode> watch{2};
   const auto wf = sim.run(3e-9, watch);
@@ -85,9 +85,9 @@ TEST(Transient, BackwardEulerAgreesWithTrapezoidalOnFineGrid) {
   const double r = 1000.0, c = 1e-12;
   TransientOptions be;
   be.method = Integration::kBackwardEuler;
-  be.steps_per_tau = 4000.0;
+  be.time_step_s = r * c / 4000.0;
   TransientOptions trap;
-  trap.steps_per_tau = 400.0;
+  trap.time_step_s = r * c / 400.0;
 
   const std::vector<spice::CircuitNode> watch{2};
   const double d_be =
@@ -174,11 +174,14 @@ TEST(Transient, ThresholdValidation) {
   EXPECT_THROW(sim.measure_crossings(watch, 1.0), std::invalid_argument);
 }
 
-TEST(Transient, MaxThresholdDelayHelper) {
-  const double r = 1000.0, c = 1e-12;
+TEST(Transient, SinglePoleRiseTimeIsLnNineTau) {
+  const double r = 1000.0, c = 1e-12;  // tau = 1ns
+  TransientSimulator sim(rc_lowpass(r, c));
   const std::vector<spice::CircuitNode> watch{2};
-  const double d = max_threshold_delay(rc_lowpass(r, c), watch);
-  EXPECT_NEAR(d, r * c * kLn2, r * c * 1e-2);
+  const double t10 = sim.measure_crossings(watch, 0.1).crossing_s[0];
+  const double t90 = sim.measure_crossings(watch, 0.9).crossing_s[0];
+  // t(0.9) - t(0.1) = tau (ln 10 - ln(10/9)) = tau * ln 9.
+  EXPECT_NEAR(t90 - t10, r * c * std::log(9.0), r * c * 0.01);
 }
 
 }  // namespace

@@ -149,22 +149,49 @@ namespace {
 
 TEST(SparseMoments, SparsePathMatchesDensePath) {
   // A net large enough to trip the sparse dispatch (limit 320 nodes):
-  // 400 pins. Compare against the dense path run via the exposed
-  // assembly on the same graph.
+  // 400 pins. Compare both moments against the dense path run via the
+  // exposed assembly on the same graph.
   expt::NetGenerator gen(31);
   const graph::Net net = gen.random_net(400);
   const graph::RoutingGraph g = graph::mst_routing(net);
   ASSERT_GT(g.node_count(), kDenseMomentNodeLimit);
 
-  const std::vector<double> sparse = graph_elmore_delays(g, spice::kTable1Technology);
+  const MomentAnalysis sparse = moment_analysis(g, spice::kTable1Technology);
 
   const GroundedSystem sys = assemble_grounded_system(g, spice::kTable1Technology);
   const linalg::CholeskyFactorization dense(sys.conductance);
-  const std::vector<double> reference = dense.solve(sys.capacitance);
+  const std::vector<double> m1 = dense.solve(sys.capacitance);
+  std::vector<double> c_m1(m1.size());
+  for (std::size_t i = 0; i < m1.size(); ++i) c_m1[i] = sys.capacitance[i] * m1[i];
+  const std::vector<double> m2 = dense.solve(c_m1);
 
-  ASSERT_EQ(sparse.size(), reference.size());
-  for (std::size_t i = 0; i < sparse.size(); ++i)
-    EXPECT_NEAR(sparse[i], reference[i], reference[i] * 1e-6 + 1e-18);
+  ASSERT_EQ(sparse.m1.size(), m1.size());
+  ASSERT_EQ(sparse.m2.size(), m2.size());
+  for (std::size_t i = 0; i < m1.size(); ++i) {
+    EXPECT_NEAR(sparse.m1[i], m1[i], m1[i] * 1e-6 + 1e-18);
+    EXPECT_NEAR(sparse.m2[i], m2[i], m2[i] * 1e-6 + 1e-30);
+  }
+}
+
+TEST(SparseMoments, GraphElmoreIsMomentM1OnBothSidesOfTheSwitch) {
+  // graph_elmore_delays and moment_analysis share one solve: dense
+  // Cholesky up to kDenseMomentNodeLimit nodes, envelope Cholesky above.
+  const spice::Technology tech = spice::kTable1Technology;
+  for (const std::size_t n : {kDenseMomentNodeLimit, kDenseMomentNodeLimit + 1}) {
+    expt::NetGenerator gen(41);
+    const graph::RoutingGraph g = graph::mst_routing(gen.random_net(n));
+    ASSERT_EQ(g.node_count(), n);
+    const std::vector<double> m1 = moment_analysis(g, tech).m1;
+    EXPECT_EQ(graph_elmore_delays(g, tech), m1) << n << " nodes";
+
+    const GroundedSystem sys = assemble_grounded_system(g, tech);
+    const std::vector<double> want =
+        n > kDenseMomentNodeLimit
+            ? linalg::EnvelopeCholesky(grounded_conductance_csr(g, tech))
+                  .solve(sys.capacitance)
+            : linalg::CholeskyFactorization(sys.conductance).solve(sys.capacitance);
+    EXPECT_EQ(m1, want) << n << " nodes";
+  }
 }
 
 TEST(SparseMoments, CsrAssemblyMatchesDenseAssembly) {

@@ -141,14 +141,6 @@ TEST(GraphNetlist, SegmentationPreservesTotals) {
   EXPECT_NEAR(n.circuit.total_capacitance(), 0.352e-12 + 15.3e-15, 1e-20);
 }
 
-TEST(GraphNetlist, MaxSegmentLengthDrivesSectionCount) {
-  const graph::RoutingGraph g = two_pin_graph(1000.0);
-  NetlistOptions opts;
-  opts.max_segment_length_um = 300.0;  // ceil(1000/300) = 4 sections
-  const GraphNetlist n = build_netlist(g, kTable1Technology, opts);
-  EXPECT_EQ(n.circuit.element_count(ElementKind::kResistor), 5u);
-}
-
 TEST(GraphNetlist, InductanceOptionAddsInductors) {
   const graph::RoutingGraph g = two_pin_graph(1000.0);
   NetlistOptions opts;
@@ -178,15 +170,6 @@ TEST(GraphNetlist, SteinerNodesCarryNoLoad) {
   const GraphNetlist n = build_netlist(g, kTable1Technology);
   // Caps: 2 wires x 2 halves + 1 sink load only (no load on the Steiner node).
   EXPECT_EQ(n.circuit.element_count(ElementKind::kCapacitor), 5u);
-}
-
-TEST(GraphNetlist, LoadSourcePinOption) {
-  const graph::RoutingGraph g = two_pin_graph(500.0);
-  NetlistOptions opts;
-  opts.load_source_pin = true;
-  const GraphNetlist n = build_netlist(g, kTable1Technology, opts);
-  EXPECT_NEAR(n.circuit.total_capacitance(),
-              kTable1Technology.wire_capacitance(500.0) + 2 * 15.3e-15, 1e-20);
 }
 
 }  // namespace

@@ -25,11 +25,7 @@ struct Case {
 std::unique_ptr<delay::DelayEvaluator> make(const std::string& name) {
   if (name == "graph-elmore")
     return std::make_unique<delay::GraphElmoreEvaluator>(kTech);
-  if (name == "elmore-ln2")
-    return std::make_unique<delay::ScaledElmoreEvaluator>(kTech);
   if (name == "d2m") return std::make_unique<delay::TwoPoleEvaluator>(kTech);
-  if (name == "two-pole-waveform")
-    return std::make_unique<delay::TwoPoleWaveformEvaluator>(kTech);
   return std::make_unique<delay::TransientEvaluator>(kTech);
 }
 
@@ -59,8 +55,7 @@ std::vector<Case> all_cases() {
        {Strategy::kMst, Strategy::kStar, Strategy::kSteinerTree, Strategy::kErt,
         Strategy::kSert, Strategy::kLdrg, Strategy::kSldrg, Strategy::kErtLdrg,
         Strategy::kH1, Strategy::kH2, Strategy::kH3}) {
-    for (const char* e :
-         {"transient", "graph-elmore", "elmore-ln2", "d2m", "two-pole-waveform"}) {
+    for (const char* e : {"transient", "graph-elmore", "d2m"}) {
       cases.push_back({s, e});
     }
   }

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "delay/evaluator.h"
 #include "io/cli.h"
 #include "runtime/status.h"
 #include "serve/loadgen.h"
@@ -147,8 +148,7 @@ Options parse_args(const std::vector<std::string>& args) {
       opts.load.strategy = ntr::io::strategy_from_name(next(i, arg));
     } else if (arg == "--evaluator") {
       opts.load.evaluator = next(i, arg);
-      if (opts.load.evaluator != "transient" && opts.load.evaluator != "elmore" &&
-          opts.load.evaluator != "graph-elmore" && opts.load.evaluator != "d2m")
+      if (!ntr::delay::is_evaluator_name(opts.load.evaluator))
         throw std::invalid_argument("unknown --evaluator '" +
                                     opts.load.evaluator + "'");
     } else if (arg == "--deadline-ms") {
