@@ -76,7 +76,7 @@ void BM_IteratedOneSteiner(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(steiner::iterated_one_steiner(net));
 }
-BENCHMARK(BM_IteratedOneSteiner)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_IteratedOneSteiner)->Arg(5)->Arg(10)->Arg(20)->Arg(30)->Arg(50);
 
 void BM_LdrgSingleEdge(benchmark::State& state) {
   const graph::RoutingGraph mst =
