@@ -1,5 +1,6 @@
 #include "graph/routing_graph.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.h"
@@ -38,7 +39,11 @@ EdgeId RoutingGraph::add_edge(NodeId u, NodeId v) {
   const EdgeId id = edges_.size() - 1;
   adjacency_[u].push_back(id);  // ntr-alloc-in-hot-path(tiny degree list)
   adjacency_[v].push_back(id);  // ntr-alloc-in-hot-path(tiny degree list)
-  NTR_DCHECK(check::require(validate_graph(*this),
+  // Only the new edge and its endpoints' lists changed. The graph held
+  // validate_graph's invariants before (the constructor and add_node make
+  // no edges, remove_edge checks the whole graph, set_edge_width refuses a
+  // bad width), so checking the change keeps them.
+  NTR_DCHECK(check::require(validate_added_edge(*this, id),
                             "RoutingGraph::add_edge postcondition"));
   return id;
 }
@@ -71,7 +76,10 @@ NodeId RoutingGraph::split_edge(EdgeId e, const geom::Point& p) {
 
 void RoutingGraph::set_edge_width(EdgeId e, double width) {
   if (e >= edges_.size()) throw std::out_of_range("RoutingGraph::set_edge_width");
-  if (width <= 0.0) throw std::invalid_argument("edge width must be positive");
+  // Finite as well as positive, as validate_graph requires: add_edge checks
+  // only the edge it adds, so no other mutation may break an edge.
+  if (!(width > 0.0) || !std::isfinite(width))
+    throw std::invalid_argument("edge width must be positive and finite");
   edges_[e].width = width;
 }
 

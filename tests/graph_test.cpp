@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/net.h"
 #include "graph/paths.h"
 #include "graph/routing_graph.h"
@@ -103,6 +105,11 @@ TEST(RoutingGraph, WireAreaTracksWidths) {
   EXPECT_DOUBLE_EQ(g.total_wire_area(), 400.0);
   EXPECT_DOUBLE_EQ(g.total_wirelength(), 200.0);  // cost ignores widths
   EXPECT_THROW(g.set_edge_width(e, 0.0), std::invalid_argument);
+  EXPECT_THROW(g.set_edge_width(e, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(g.set_edge_width(e, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(g.edge(e).width, 3.0);
 }
 
 TEST(Paths, DijkstraOnCycleTakesShorterWay) {
