@@ -42,7 +42,7 @@ int main() {
         core::LdrgOptions opts;
         opts.criticality = alpha;
         const core::LdrgResult res = core::ldrg(mst, spice_like, opts);
-        const double base = spice_like.weighted_delay(mst, alpha);
+        const double base = spice_like.objective(mst, alpha);
         ratio_sum += res.final_objective / base;
         if (res.improved()) ++winners;
       }

@@ -2,24 +2,9 @@
 
 #include <stdexcept>
 
+#include "core/wire_sizing.h"
+
 namespace ntr::core {
-
-namespace {
-
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
-
-double next_width(const std::vector<double>& widths, double current) {
-  double best = 0.0;
-  for (const double w : widths)
-    if (w > current && (best == 0.0 || w < best)) best = w;
-  return best;
-}
-
-}  // namespace
 
 HorgResult horg_greedy(const graph::RoutingGraph& initial,
                        const delay::DelayEvaluator& evaluator,
@@ -31,13 +16,13 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
 
   HorgResult result;
   result.graph = initial;
-  result.initial_objective = objective(result.graph, evaluator, options.criticality);
+  result.initial_objective = evaluator.objective(result.graph, options.criticality);
   result.initial_area = result.graph.total_wire_area();
   result.final_objective = result.initial_objective;
   result.final_area = result.initial_area;
   const double area_budget = options.max_area_ratio * result.initial_area;
 
-  while (result.steps.size() < options.max_moves) {
+  for (;;) {
     const double current = result.final_objective;
     const double accept_below = current * (1.0 - options.min_relative_improvement);
 
@@ -73,7 +58,7 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
         step.kind = HorgStep::Kind::kAddEdge;
         step.u = u;
         step.v = v;
-        consider(step, objective(trial, evaluator, options.criticality), added_area);
+        consider(step, evaluator.objective(trial, options.criticality), added_area);
       }
     }
     // WSORG moves: widen any edge one notch.
@@ -87,7 +72,7 @@ HorgResult horg_greedy(const graph::RoutingGraph& initial,
       step.kind = HorgStep::Kind::kWidenEdge;
       step.edge = e;
       step.new_width = w;
-      consider(step, objective(trial, evaluator, options.criticality),
+      consider(step, evaluator.objective(trial, options.criticality),
                edge.length * (w - edge.width));
     }
 

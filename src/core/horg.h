@@ -29,7 +29,6 @@ struct HorgOptions {
   /// CSORG weights, indexed like graph.sinks(); empty = minimize the max.
   std::vector<double> criticality;
   double min_relative_improvement = 1e-9;
-  std::size_t max_moves = std::numeric_limits<std::size_t>::max();
 };
 
 struct HorgResult {

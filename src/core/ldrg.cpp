@@ -17,33 +17,17 @@ namespace ntr::core {
 
 namespace {
 
-double objective(const graph::RoutingGraph& g, const delay::DelayEvaluator& evaluator,
-                 const std::vector<double>& criticality) {
-  return criticality.empty() ? evaluator.max_delay(g)
-                             : evaluator.weighted_delay(g, criticality);
-}
-
-double sink_objective(const std::vector<double>& sink_delays,
-                      const std::vector<double>& criticality) {
-  if (criticality.empty()) {
-    double worst = 0.0;
-    for (const double d : sink_delays) worst = std::max(worst, d);
-    return worst;
-  }
-  if (criticality.size() != sink_delays.size())
-    throw std::invalid_argument("ldrg: criticality size must match sink count");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < sink_delays.size(); ++i)
-    sum += criticality[i] * sink_delays[i];
-  return sum;
-}
-
 struct Candidate {
   graph::NodeId u = graph::kInvalidNode;
   graph::NodeId v = graph::kInvalidNode;
 };
 
-/// Narrows `candidates` to the options.screen_top_k best by the screen's
+/// Screened candidates verified with the evaluator per round. 1 would
+/// trust the screen completely; a few more close the small fidelity gap
+/// between the screen and the evaluator.
+constexpr std::size_t kScreenTopK = 4;
+
+/// Narrows `candidates` to the kScreenTopK best by the screen's
 /// delta scorer, best first. Every candidate's score lands in its own
 /// pre-sized slot, and the partial_sort permutation depends only on
 /// comparison results, so the ranking is bit-identical for every lane
@@ -61,14 +45,14 @@ void keep_screened_top_k(std::vector<Candidate>& candidates,
   static_cast<void>(parallel_argmin(
       pool, candidates.size(), options.stop, "ldrg screen scan",
       std::numeric_limits<double>::infinity(), [&](std::size_t i, double) {
-        scores[i] = sink_objective(
+        scores[i] = delay::sink_objective(
             screen->candidate_sink_delays(candidates[i].u, candidates[i].v),
             options.criticality);
         return scores[i];
       }));
   std::vector<std::size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  const std::size_t top_k = std::min(options.screen_top_k, order.size());
+  const std::size_t top_k = std::min(kScreenTopK, order.size());
   std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(top_k),
                     order.end(),
                     [&](std::size_t a, std::size_t b) { return scores[a] < scores[b]; });
@@ -87,12 +71,10 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
                         const LdrgOptions& options) {
   if (!initial.is_connected())
     throw std::invalid_argument("ldrg: initial routing must be connected");
-  if (options.screen != nullptr && options.screen_top_k == 0)
-    throw std::invalid_argument("ldrg: screen_top_k must be positive");
 
   LdrgResult result;
   result.graph = initial;
-  result.initial_objective = objective(result.graph, evaluator, options.criticality);
+  result.initial_objective = evaluator.objective(result.graph, options.criticality);
   result.initial_cost = result.graph.total_wirelength();
   result.final_objective = result.initial_objective;
   result.final_cost = result.initial_cost;
@@ -154,13 +136,13 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
         accept_below, [&](std::size_t i, double bound) {
           const Candidate& c = candidates[i];
           if (scorer)
-            return sink_objective(scorer->candidate_sink_delays(c.u, c.v),
-                                  options.criticality);
+            return delay::sink_objective(scorer->candidate_sink_delays(c.u, c.v),
+                                         options.criticality);
           graph::RoutingGraph trial = result.graph;
           trial.add_edge(c.u, c.v);
           return (!weighted && options.bounded_scoring)
                      ? evaluator.bounded_max_delay(trial, bound)
-                     : objective(trial, evaluator, options.criticality);
+                     : evaluator.objective(trial, options.criticality);
         });
     if (!best.found()) break;  // no candidate improves t(G)
 
@@ -173,7 +155,7 @@ NTR_HOT LdrgResult ldrg(const graph::RoutingGraph& initial,
     // exact evaluator output for this graph, bit for bit.)
     double accepted = best.score;
     if (scorer) {
-      accepted = objective(result.graph, evaluator, options.criticality);
+      accepted = evaluator.objective(result.graph, options.criticality);
       if (!(accepted < accept_below)) {
         // The delta promised an improvement the exact solve cannot
         // confirm (a sub-1e-12 margin): undo and stop.

@@ -57,19 +57,14 @@ struct LdrgOptions {
 
   /// Optional Elmore-style screen (non-owning; must outlive the call).
   /// When set, each round first ranks every budget-filtered candidate with
-  /// the screen's delta scorer (make_candidate_scorer), keeps the
-  /// screen_top_k best, and scans only those with `evaluator` -- the
-  /// paper's H2/H3 result (Elmore ranks candidates the way SPICE does)
-  /// makes this a near-lossless way to avoid a quadratic number of
-  /// accurate evaluations per round. `evaluator` still gates and reports
-  /// every accepted edge. A screen without a delta scorer is rejected
-  /// with std::invalid_argument.
+  /// the screen's delta scorer (make_candidate_scorer), keeps the 4 best,
+  /// and scans only those with `evaluator` -- the paper's H2/H3 result
+  /// (Elmore ranks candidates the way SPICE does) makes this a
+  /// near-lossless way to avoid a quadratic number of accurate
+  /// evaluations per round. `evaluator` still gates and reports every
+  /// accepted edge. A screen without a delta scorer is rejected with
+  /// std::invalid_argument.
   const delay::DelayEvaluator* screen = nullptr;
-
-  /// Screened candidates verified with `evaluator` per round (>= 1 when a
-  /// screen is set). 1 trusts the screen completely; larger values close
-  /// the small fidelity gap between the screen and the evaluator.
-  std::size_t screen_top_k = 4;
 
   /// Cooperative deadline/cancellation. Polled at every round boundary
   /// and every 16 candidates inside each scan lane; when it trips, the

@@ -7,6 +7,7 @@
 #include "core/heuristics.h"
 #include "route/constructions.h"
 #include "route/ert.h"
+#include "steiner/iterated_one_steiner.h"
 
 namespace ntr::core {
 
@@ -52,7 +53,7 @@ Solution solve(const graph::Net& net, Strategy strategy,
       solution.graph = route::star_routing(net);
       break;
     case Strategy::kSteinerTree:
-      solution.graph = steiner::iterated_one_steiner(net, config.steiner).graph;
+      solution.graph = steiner::iterated_one_steiner(net).graph;
       break;
     case Strategy::kErt:
       solution.graph = route::elmore_routing_tree(net, config.tech).graph;
@@ -67,7 +68,7 @@ Solution solve(const graph::Net& net, Strategy strategy,
       solution.graph = ldrg(graph::mst_routing(net), evaluator, ldrg_options).graph;
       break;
     case Strategy::kSldrg: {
-      const auto steiner_tree = steiner::iterated_one_steiner(net, config.steiner);
+      const auto steiner_tree = steiner::iterated_one_steiner(net);
       solution.graph = ldrg(steiner_tree.graph, evaluator, ldrg_options).graph;
       break;
     }
@@ -77,8 +78,7 @@ Solution solve(const graph::Net& net, Strategy strategy,
       break;
     }
     case Strategy::kH1:
-      solution.graph =
-          h1(graph::mst_routing(net), evaluator, config.h1_max_iterations).graph;
+      solution.graph = h1(graph::mst_routing(net), evaluator).graph;
       break;
     case Strategy::kH2:
       solution.graph = h2(graph::mst_routing(net), config.tech).graph;

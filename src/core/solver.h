@@ -10,7 +10,6 @@
 #include "graph/routing_graph.h"
 #include "runtime/stop.h"
 #include "spice/technology.h"
-#include "steiner/iterated_one_steiner.h"
 
 namespace ntr::core {
 
@@ -42,10 +41,6 @@ struct SolverConfig {
   ParallelConfig parallel{};
   /// Options forwarded to ldrg() for the LDRG-family strategies.
   LdrgOptions ldrg{};
-  /// Options forwarded to iterated_one_steiner() for Steiner strategies.
-  steiner::SteinerOptions steiner{};
-  /// H1 iteration cap.
-  std::size_t h1_max_iterations = static_cast<std::size_t>(-1);
   /// Cooperative deadline/cancellation for the whole solve. An engaged
   /// token overrides ldrg.stop (same pattern as `parallel`), is checked
   /// once on entry, and is polled by the LDRG rounds/lanes. Evaluator-side

@@ -35,6 +35,10 @@ struct WireSizingOptions {
   double min_relative_improvement = 1e-9;
 };
 
+/// Smallest width in `widths` strictly above `current`, or 0 if none: the
+/// one-notch widening step of greedy_wire_sizing and horg_greedy.
+double next_width(const std::vector<double>& widths, double current);
+
 struct WireSizingResult {
   graph::RoutingGraph graph;
   double initial_objective = 0.0;

@@ -58,11 +58,4 @@ std::vector<double> elmore_node_delays(const graph::RoutingGraph& g,
   return elmore_node_delays(g, tree, tech);
 }
 
-double elmore_tree_delay(const graph::RoutingGraph& g, const spice::Technology& tech) {
-  const std::vector<double> delays = elmore_node_delays(g, tech);
-  double worst = 0.0;
-  for (const graph::NodeId s : g.sinks()) worst = std::max(worst, delays[s]);
-  return worst;
-}
-
 }  // namespace ntr::delay

@@ -27,7 +27,4 @@ std::vector<double> elmore_node_delays(const graph::RoutingGraph& g,
                                        const graph::RootedTree& tree,
                                        const spice::Technology& tech);
 
-/// max over sinks of elmore_node_delays: the paper's t_ED(T(N)).
-double elmore_tree_delay(const graph::RoutingGraph& g, const spice::Technology& tech);
-
 }  // namespace ntr::delay

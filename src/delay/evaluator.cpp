@@ -44,21 +44,28 @@ class IncrementalElmoreScorer final : public CandidateScorer {
 
 }  // namespace
 
-double DelayEvaluator::max_delay(const graph::RoutingGraph& g) const {
-  double worst = 0.0;
-  for (const double d : sink_delays(g)) worst = std::max(worst, d);
-  return worst;
+double sink_objective(std::span<const double> sink_delays,
+                      std::span<const double> criticality) {
+  if (criticality.empty()) {
+    double worst = 0.0;
+    for (const double d : sink_delays) worst = std::max(worst, d);
+    return worst;
+  }
+  if (criticality.size() != sink_delays.size())
+    throw std::invalid_argument("criticality size must match sink count");
+  double sum = 0.0;
+  for (std::size_t i = 0; i < sink_delays.size(); ++i)
+    sum += criticality[i] * sink_delays[i];
+  return sum;
 }
 
-double DelayEvaluator::weighted_delay(const graph::RoutingGraph& g,
-                                      std::span<const double> criticality) const {
-  const std::vector<double> delays = sink_delays(g);
-  if (criticality.size() != delays.size())
-    throw std::invalid_argument(
-        "weighted_delay: criticality size must match sink count");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < delays.size(); ++i) sum += criticality[i] * delays[i];
-  return sum;
+double DelayEvaluator::max_delay(const graph::RoutingGraph& g) const {
+  return sink_objective(sink_delays(g), {});
+}
+
+double DelayEvaluator::objective(const graph::RoutingGraph& g,
+                                 std::span<const double> criticality) const {
+  return sink_objective(sink_delays(g), criticality);
 }
 
 std::vector<double> ElmoreTreeEvaluator::sink_delays(

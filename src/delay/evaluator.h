@@ -30,6 +30,13 @@ class CandidateScorer {
       graph::NodeId u, graph::NodeId v) const = 0;
 };
 
+/// The routing objective over per-sink delays: max_i t(n_i), the ORG
+/// objective, for an empty `criticality`; otherwise sum_i alpha_i t(n_i),
+/// the CSORG objective of Section 5.1, with `criticality` indexed like the
+/// delays (std::invalid_argument if the sizes differ).
+[[nodiscard]] double sink_objective(std::span<const double> sink_delays,
+                                    std::span<const double> criticality);
+
 /// Pluggable source-to-sink delay oracle over routing graphs. Every router
 /// in this library (LDRG, heuristics, ERT, wire sizing) consumes this
 /// interface, so the cost/accuracy point is a caller decision: the
@@ -50,10 +57,10 @@ class DelayEvaluator {
   /// t(G) = max over sinks (the ORG objective).
   [[nodiscard]] double max_delay(const graph::RoutingGraph& g) const;
 
-  /// sum alpha_i * t(n_i) over sinks (the CSORG objective, Section 5.1).
-  /// `criticality` is indexed like g.sinks() and must match its size.
-  [[nodiscard]] double weighted_delay(const graph::RoutingGraph& g,
-                                      std::span<const double> criticality) const;
+  /// sink_objective of g's sink delays: t(G) for an empty `criticality`,
+  /// else the CSORG sum.
+  [[nodiscard]] double objective(const graph::RoutingGraph& g,
+                                 std::span<const double> criticality) const;
 
   /// Optional incremental engine for add-edge what-if queries against `g`.
   /// Evaluators without a delta path return nullptr and callers fall back

@@ -9,6 +9,18 @@
 
 namespace ntr::delay {
 
+namespace {
+
+/// A candidate is a new wire between two distinct nodes of `g`.
+void check_candidate(const graph::RoutingGraph& g, graph::NodeId u, graph::NodeId v) {
+  if (u >= g.node_count() || v >= g.node_count() || u == v)
+    throw std::invalid_argument("candidate_delays: invalid node pair");
+  if (g.has_edge(u, v))
+    throw std::invalid_argument("candidate_delays: edge already present");
+}
+
+}  // namespace
+
 IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
                                      const spice::Technology& tech)
     : g_(&g), tech_(tech) {
@@ -33,9 +45,8 @@ IncrementalElmore::IncrementalElmore(const graph::RoutingGraph& g,
 
 std::vector<double> IncrementalElmore::candidate_delays(graph::NodeId u,
                                                         graph::NodeId v) const {
+  check_candidate(*g_, u, v);
   const std::size_t n = m1_.size();
-  if (u >= n || v >= n || u == v)
-    throw std::invalid_argument("candidate_delays: invalid node pair");
 
   const double length = geom::manhattan_distance(g_->node(u).pos, g_->node(v).pos);
   const double g_e = wire_conductance(length, 1.0, tech_);
@@ -69,26 +80,10 @@ std::vector<double> IncrementalElmore::candidate_delays(graph::NodeId u,
 
 std::vector<double> IncrementalElmore::candidate_delays_exact(
     graph::NodeId u, graph::NodeId v) const {
+  check_candidate(*g_, u, v);
   graph::RoutingGraph trial = *g_;
-  if (!trial.has_edge(u, v)) {
-    trial.add_edge(u, v);
-    return graph_elmore_delays(trial, tech_);
-  }
-  // A doubled wire is not representable in RoutingGraph (add_edge dedups);
-  // assemble the doubled system directly.
-  GroundedSystem sys = assemble_grounded_system(trial, tech_);
-  const double length =
-      geom::manhattan_distance(trial.node(u).pos, trial.node(v).pos);
-  const double g_e = wire_conductance(length, 1.0, tech_);
-  const double c_half = tech_.wire_capacitance(length, 1.0) / 2.0;
-  sys.conductance(u, u) += g_e;
-  sys.conductance(v, v) += g_e;
-  sys.conductance(u, v) -= g_e;
-  sys.conductance(v, u) -= g_e;
-  sys.capacitance[u] += c_half;
-  sys.capacitance[v] += c_half;
-  const linalg::CholeskyFactorization chol(sys.conductance);
-  return chol.solve(sys.capacitance);
+  trial.add_edge(u, v);
+  return graph_elmore_delays(trial, tech_);
 }
 
 }  // namespace ntr::delay

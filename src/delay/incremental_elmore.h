@@ -43,19 +43,16 @@ class IncrementalElmore {
   IncrementalElmore(const graph::RoutingGraph& g, const spice::Technology& tech);
 
   /// Per-node Elmore delays of the attached graph + edge (u,v); O(n) on
-  /// the delta path. (u,v) must be distinct in-range nodes; querying an
-  /// already-present edge is legal (the result reflects a doubled wire).
+  /// the delta path. (u,v) must be distinct in-range nodes that the graph
+  /// does not already join; anything else throws std::invalid_argument.
   [[nodiscard]] std::vector<double> candidate_delays(graph::NodeId u,
                                                      graph::NodeId v) const;
 
   /// The same computation via a full assemble-and-solve of the trial
   /// graph, bypassing the cache. Exposed so tests (and the fallback path)
-  /// can compare delta against ground truth.
+  /// can compare delta against ground truth; same precondition.
   [[nodiscard]] std::vector<double> candidate_delays_exact(graph::NodeId u,
                                                            graph::NodeId v) const;
-
-  /// Base (no added edge) per-node Elmore delays of the attached graph.
-  [[nodiscard]] const std::vector<double>& base_delays() const { return m1_; }
 
   /// Delta updates whose g_e * w^T G^{-1} w exceed this are answered by
   /// the exact path: past ~1e12 the Sherman-Morrison subtraction cancels

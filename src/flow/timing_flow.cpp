@@ -14,6 +14,12 @@ namespace ntr::flow {
 
 namespace {
 
+/// A net is re-routed when any of its sink pins has criticality
+/// (= max(0, (period - slack)/period)) at or above this threshold.
+constexpr double kCriticalityThreshold = 0.8;
+/// Timing-convergence iterations (route -> STA -> reroute ...).
+constexpr unsigned kMaxIterations = 3;
+
 void validate(const sta::TimingGraph& design, const std::vector<BoundNet>& nets) {
   for (const BoundNet& b : nets) {
     b.net.validate();
@@ -130,7 +136,7 @@ FlowResult run_timing_flow(sta::TimingGraph& design, std::vector<BoundNet>& nets
   result.initial_report = sta::analyze(design, options.clock_period_s);
   result.final_report = result.initial_report;
 
-  for (unsigned iter = 0; iter < options.max_iterations; ++iter) {
+  for (unsigned iter = 0; iter < kMaxIterations; ++iter) {
     if (stop_engaged && stop.poll() != runtime::StatusCode::kOk) {
       // Out of budget at an iteration boundary: every routing is valid and
       // annotated, so stopping the optimization here degrades nothing.
@@ -162,7 +168,7 @@ FlowResult run_timing_flow(sta::TimingGraph& design, std::vector<BoundNet>& nets
           projected.empty()
               ? 0.0
               : *std::max_element(projected.begin(), projected.end());
-      if (worst >= options.criticality_threshold) {
+      if (worst >= kCriticalityThreshold) {
         targets.push_back(i);
         alphas.push_back(std::move(projected));
       }

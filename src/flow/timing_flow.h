@@ -27,11 +27,6 @@ struct BoundNet {
 struct FlowOptions {
   spice::Technology tech{};
   double clock_period_s = 5e-9;
-  /// A net is re-routed when any of its sink pins has criticality
-  /// (= max(0, (period - slack)/period)) at or above this threshold.
-  double criticality_threshold = 0.8;
-  /// Timing-convergence iterations (route -> STA -> reroute ...).
-  unsigned max_iterations = 3;
   core::LdrgOptions ldrg{};
   /// Reroute-stage thread count: the critical nets of one iteration are
   /// independent CSORG problems, so they are rerouted on parallel lanes
@@ -66,10 +61,12 @@ struct FlowResult {
 ///   1. route every bound net as an MST; measure per-sink interconnect
 ///      delays with `measure` and annotate the timing graph,
 ///   2. STA: arrivals, slacks, per-pin criticalities,
-///   3. re-route every net holding a critical pin with CSORG-weighted
-///      LDRG (criticalities as the alpha vector); re-annotate,
+///   3. re-route every net holding a pin of criticality
+///      (= max(0, (period - slack)/period)) at or above 0.8 with
+///      CSORG-weighted LDRG (criticalities as the alpha vector);
+///      re-annotate,
 ///   4. repeat 2-3 until no net qualifies, nothing improves the worst
-///      slack, or max_iterations is reached.
+///      slack, or 3 iterations have run.
 ///
 /// The design's interconnect delays are left annotated with the final
 /// routing (so callers can keep analyzing it). Throws

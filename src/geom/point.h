@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cmath>
 #include <compare>
 #include <cstddef>
 #include <functional>
@@ -26,23 +25,6 @@ constexpr double manhattan_distance(const Point& a, const Point& b) {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;
   return (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
-}
-
-/// Euclidean (L2) distance; provided for diagnostics and plotting only.
-inline double euclidean_distance(const Point& a, const Point& b) {
-  return std::hypot(a.x - b.x, a.y - b.y);
-}
-
-/// Chebyshev (L-infinity) distance.
-constexpr double chebyshev_distance(const Point& a, const Point& b) {
-  const double dx = a.x > b.x ? a.x - b.x : b.x - a.x;
-  const double dy = a.y > b.y ? a.y - b.y : b.y - a.y;
-  return dx > dy ? dx : dy;
-}
-
-/// Midpoint of the segment ab (not generally a Hanan point).
-constexpr Point midpoint(const Point& a, const Point& b) {
-  return Point{(a.x + b.x) / 2.0, (a.y + b.y) / 2.0};
 }
 
 /// True iff c lies inside (or on the boundary of) the smallest axis-aligned

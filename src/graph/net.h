@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "geom/point.h"
@@ -26,10 +27,13 @@ struct Net {
   void validate() const {
     if (pins.size() < 2)
       throw std::invalid_argument("Net requires a source and at least one sink");
-    for (std::size_t i = 0; i < pins.size(); ++i)
-      for (std::size_t j = i + 1; j < pins.size(); ++j)
-        if (pins[i] == pins[j])
-          throw std::invalid_argument("Net contains duplicate pin locations");
+    // Expected O(n). Point == counts 0.0 and -0.0 as equal, and so does
+    // std::hash<double>; a NaN coordinate makes a pin equal to no pin.
+    std::unordered_set<geom::Point> seen;
+    seen.reserve(pins.size());
+    for (const geom::Point& p : pins)
+      if (!seen.insert(p).second)
+        throw std::invalid_argument("Net contains duplicate pin locations");
   }
 };
 

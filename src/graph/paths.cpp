@@ -81,15 +81,6 @@ std::vector<double> tree_path_lengths(const RoutingGraph& g, const RootedTree& t
   return len;
 }
 
-std::vector<NodeId> tree_path(const RootedTree& tree, NodeId target) {
-  std::vector<NodeId> path;
-  for (NodeId u = target; u != kInvalidNode; u = tree.parent[u]) path.push_back(u);
-  std::reverse(path.begin(), path.end());
-  if (path.empty() || path.front() != tree.root)
-    throw std::invalid_argument("tree_path: target not reachable from root");
-  return path;
-}
-
 double routing_radius(const RoutingGraph& g) {
   const ShortestPaths sp = shortest_paths(g, g.source());
   double radius = 0.0;

@@ -34,9 +34,6 @@ RootedTree root_tree(const RoutingGraph& g, NodeId root);
 /// Wire pathlength from the root to every node of a rooted tree.
 std::vector<double> tree_path_lengths(const RoutingGraph& g, const RootedTree& tree);
 
-/// Nodes on the tree path from the root to `target`, inclusive of both ends.
-std::vector<NodeId> tree_path(const RootedTree& tree, NodeId target);
-
 /// Maximum over sinks of the source-to-sink pathlength (the routing radius).
 double routing_radius(const RoutingGraph& g);
 

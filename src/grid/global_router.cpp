@@ -7,8 +7,18 @@
 
 namespace ntr::grid {
 
-GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets,
-                             const GlobalRouteOptions& options) {
+namespace {
+
+/// Linear over-capacity penalty of the congestion-aware step cost.
+constexpr double kCongestionPenalty = 4.0;
+/// Rip-up-and-reroute passes after the initial routing.
+constexpr unsigned kMaxRipupPasses = 4;
+/// Penalty growth per pass (history-style pressure).
+constexpr double kPenaltyGrowth = 2.0;
+
+}  // namespace
+
+GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets) {
   GlobalRouteResult result;
   result.nets.resize(nets.size());
 
@@ -21,7 +31,7 @@ GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets,
            geom::BBox(nets[b].pins).half_perimeter();
   });
 
-  double penalty = options.congestion_penalty;
+  double penalty = kCongestionPenalty;
   for (const std::size_t i : order) {
     result.nets[i] = route_net(grid, nets[i], congestion_cost(penalty));
     commit_usage(grid, result.nets[i], +1);
@@ -29,10 +39,10 @@ GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets,
 
   // Rip-up and reroute: nets crossing over-capacity boundaries get a
   // second chance under a stiffer penalty.
-  for (unsigned pass = 0; pass < options.max_ripup_passes; ++pass) {
+  for (unsigned pass = 0; pass < kMaxRipupPasses; ++pass) {
     if (grid.total_overflow() == 0) break;
     result.passes = pass + 1;
-    penalty *= options.penalty_growth;
+    penalty *= kPenaltyGrowth;
     bool rerouted_any = false;
     for (const std::size_t i : order) {
       if (!has_overflow(grid, result.nets[i])) continue;

@@ -9,15 +9,6 @@
 
 namespace ntr::grid {
 
-struct GlobalRouteOptions {
-  /// Linear over-capacity penalty of the congestion-aware step cost.
-  double congestion_penalty = 4.0;
-  /// Rip-up-and-reroute passes after the initial routing.
-  unsigned max_ripup_passes = 4;
-  /// Penalty growth per pass (history-style pressure).
-  double penalty_growth = 2.0;
-};
-
 struct GlobalRouteResult {
   std::vector<MazeNetRouting> nets;  ///< indexed like the input nets
   std::size_t overflow = 0;          ///< remaining boundary overflow
@@ -28,15 +19,14 @@ struct GlobalRouteResult {
 
 /// Congestion-aware sequential global router over the GCell grid:
 /// (1) route nets shortest-first under the congestion cost, committing
-/// boundary usage; (2) while overflow remains, rip up every net that
-/// crosses an over-capacity boundary and reroute it under a stiffer
-/// penalty. This is the multi-net substrate in which single-net
+/// boundary usage; (2) while overflow remains, for up to 4 passes, rip up
+/// every net that crosses an over-capacity boundary and reroute it under
+/// a stiffer penalty. This is the multi-net substrate in which single-net
 /// constructions (MST/ERT/LDRG-augmented) live in a real flow -- the
 /// "global routing" context of the paper's references [8][10][17].
 ///
 /// Usage state is committed into `grid`; callers can inspect it after the
 /// call (and must pass a fresh grid for a fresh run).
-GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets,
-                             const GlobalRouteOptions& options = {});
+GlobalRouteResult route_nets(Grid& grid, std::span<const graph::Net> nets);
 
 }  // namespace ntr::grid

@@ -65,9 +65,6 @@ class Grid {
     return usage_[boundary_id(c, d)];
   }
   void add_usage(Cell c, Direction d, int delta);
-  [[nodiscard]] bool congested(Cell c, Direction d) const {
-    return usage(c, d) >= capacity_;
-  }
 
   /// Total overflow: sum over boundaries of max(0, usage - capacity).
   [[nodiscard]] std::size_t total_overflow() const;

@@ -1,7 +1,6 @@
 #include "grid/search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -48,33 +47,6 @@ CellPath backtrack(const Grid& grid, const std::vector<std::size_t>& parent,
 
 }  // namespace
 
-CellPath lee_route(const Grid& grid, std::span<const Cell> sources, Cell target) {
-  check_endpoints(grid, sources, target);
-  std::vector<std::size_t> parent(grid.cell_count(), kNone);
-  std::vector<bool> seen(grid.cell_count(), false);
-  std::queue<Cell> frontier;
-  for (const Cell s : sources) {
-    if (!seen[grid.index(s)]) {
-      seen[grid.index(s)] = true;
-      frontier.push(s);
-    }
-    if (s == target) return {target};
-  }
-  while (!frontier.empty()) {
-    const Cell c = frontier.front();
-    frontier.pop();
-    for (const Direction d : kDirections) {
-      Cell n;
-      if (!grid.neighbor(c, d, n) || grid.blocked(n) || seen[grid.index(n)]) continue;
-      seen[grid.index(n)] = true;
-      parent[grid.index(n)] = grid.index(c);
-      if (n == target) return backtrack(grid, parent, target);
-      frontier.push(n);
-    }
-  }
-  return {};  // unreachable
-}
-
 CellPath dijkstra_route(const Grid& grid, std::span<const Cell> sources, Cell target,
                         const StepCost& cost) {
   check_endpoints(grid, sources, target);
@@ -105,46 +77,6 @@ CellPath dijkstra_route(const Grid& grid, std::span<const Cell> sources, Cell ta
     }
   }
   return {};
-}
-
-CellPath astar_route(const Grid& grid, Cell source, Cell target) {
-  const Cell sources[] = {source};
-  check_endpoints(grid, sources, target);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto heuristic = [&](Cell c) {
-    const double dc = c.col > target.col ? c.col - target.col : target.col - c.col;
-    const double dr = c.row > target.row ? c.row - target.row : target.row - c.row;
-    return (dc + dr) * grid.pitch();
-  };
-  std::vector<double> dist(grid.cell_count(), kInf);
-  std::vector<std::size_t> parent(grid.cell_count(), kNone);
-  using Entry = std::pair<double, std::size_t>;  // (f = g + h, cell)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[grid.index(source)] = 0.0;
-  heap.emplace(heuristic(source), grid.index(source));
-  while (!heap.empty()) {
-    const auto [f_u, u] = heap.top();
-    heap.pop();
-    const Cell c = grid.cell_at(u);
-    if (f_u > dist[u] + heuristic(c)) continue;  // stale
-    if (c == target) return backtrack(grid, parent, target);
-    for (const Direction d : kDirections) {
-      Cell n;
-      if (!grid.neighbor(c, d, n) || grid.blocked(n)) continue;
-      const double nd = dist[u] + grid.pitch();
-      if (nd < dist[grid.index(n)]) {
-        dist[grid.index(n)] = nd;
-        parent[grid.index(n)] = u;
-        heap.emplace(nd + heuristic(n), grid.index(n));
-      }
-    }
-  }
-  return {};
-}
-
-double path_length(const Grid& grid, const CellPath& path) {
-  return path.empty() ? 0.0
-                      : static_cast<double>(path.size() - 1) * grid.pitch();
 }
 
 }  // namespace ntr::grid

@@ -25,22 +25,13 @@ StepCost congestion_cost(double penalty);
 /// goal is unreachable.
 using CellPath = std::vector<Cell>;
 
-/// Lee-style wavefront expansion (uniform BFS) from `sources` to `target`.
-/// With several sources the path starts at whichever source is nearest --
-/// the multi-source form used to attach a pin to an already-routed
-/// subtree. Blocked cells are never entered (but a blocked source/target
-/// is an error).
-CellPath lee_route(const Grid& grid, std::span<const Cell> sources, Cell target);
-
-/// Dijkstra under an arbitrary step cost (reduces to Lee for pitch_cost).
+/// Dijkstra from `sources` to `target` under an arbitrary step cost
+/// (pitch_cost gives plain shortest paths). With several sources the path
+/// starts at whichever source is cheapest to reach the target from -- the
+/// multi-source form used to attach a pin to an already-routed subtree.
+/// Blocked cells are never entered (but a blocked source/target is an
+/// error).
 CellPath dijkstra_route(const Grid& grid, std::span<const Cell> sources, Cell target,
                         const StepCost& cost);
-
-/// A* with the Manhattan-distance heuristic (admissible for pitch cost,
-/// hence returns a shortest path while expanding fewer cells than Lee).
-CellPath astar_route(const Grid& grid, Cell source, Cell target);
-
-/// Wire length of a cell path in micrometers: (cells - 1) * pitch.
-double path_length(const Grid& grid, const CellPath& path);
 
 }  // namespace ntr::grid

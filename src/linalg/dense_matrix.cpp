@@ -10,12 +10,6 @@
 
 namespace ntr::linalg {
 
-DenseMatrix DenseMatrix::identity(std::size_t n) {
-  DenseMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Vector DenseMatrix::multiply(std::span<const double> x) const {
   if (x.size() != cols_) throw std::invalid_argument("DenseMatrix::multiply: size");
   Vector y(rows_, 0.0);
@@ -26,32 +20,6 @@ Vector DenseMatrix::multiply(std::span<const double> x) const {
     y[r] = s;
   }
   return y;
-}
-
-DenseMatrix& DenseMatrix::operator+=(const DenseMatrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_)
-    throw std::invalid_argument("DenseMatrix::operator+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-DenseMatrix& DenseMatrix::operator*=(double alpha) {
-  for (double& v : data_) v *= alpha;
-  return *this;
-}
-
-double DenseMatrix::max_abs() const {
-  double m = 0.0;
-  for (const double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-bool DenseMatrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = r + 1; c < cols_; ++c)
-      if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
-  return true;
 }
 
 LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {
@@ -81,7 +49,6 @@ LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {
     if (pivot != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(pivot, c));
       std::swap(perm_[k], perm_[pivot]);
-      perm_sign_ = -perm_sign_;
     }
     const double inv_pivot = 1.0 / lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -110,12 +77,6 @@ Vector LuFactorization::solve(std::span<const double> b) const {
     x[ri] = s / lu_(ri, ri);
   }
   return x;
-}
-
-double LuFactorization::determinant() const {
-  double det = perm_sign_;
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 CholeskyFactorization::CholeskyFactorization(DenseMatrix a) : l_(std::move(a)) {

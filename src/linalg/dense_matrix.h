@@ -11,14 +11,13 @@ namespace ntr::linalg {
 /// Row-major dense square-or-rectangular matrix of doubles. Circuit
 /// matrices from 30-pin nets with a few pi-segments per edge stay well
 /// under ~10^3 nodes, where dense factorization is both simpler and faster
-/// than sparse alternatives; the CSR/CG path covers larger systems.
+/// than sparse alternatives; EnvelopeCholesky (sparse_cholesky.h) covers
+/// larger systems.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
   DenseMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-  static DenseMatrix identity(std::size_t n);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -35,12 +34,6 @@ class DenseMatrix {
 
   /// y = A x
   [[nodiscard]] Vector multiply(std::span<const double> x) const;
-
-  DenseMatrix& operator+=(const DenseMatrix& other);
-  DenseMatrix& operator*=(double alpha);
-
-  [[nodiscard]] double max_abs() const;
-  [[nodiscard]] bool is_symmetric(double tol = 1e-12) const;
 
  private:
   std::size_t rows_ = 0;
@@ -63,13 +56,9 @@ class LuFactorization {
   /// Solves A x = b.
   [[nodiscard]] Vector solve(std::span<const double> b) const;
 
-  /// Determinant sign-and-magnitude via the diagonal of U (for testing).
-  [[nodiscard]] double determinant() const;
-
  private:
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
 };
 
 /// Cholesky factorization A = L L^T for symmetric positive definite

@@ -17,7 +17,7 @@
 ///   route/    star/SPT, Prim-Dijkstra, BRBC, ERT/SERT
 ///   core/     LDRG, SLDRG, H1-H3, screened LDRG, exhaustive ORG,
 ///             wire sizing (WSORG), solve() facade  -- the paper's heart
-///   grid/     GCell grid, Lee/A*/Dijkstra maze search, congestion-aware
+///   grid/     GCell grid, multi-source Dijkstra maze search, congestion-aware
 ///             multi-net global routing with rip-up-and-reroute
 ///   sta/      static timing analysis -> sink criticalities for CSORG
 ///   expt/     seeded nets, winners/all-cases aggregation, paper tables

@@ -34,7 +34,7 @@ EdgeSwapResult edge_swap_search(const graph::RoutingGraph& initial_tree,
   result.initial_delay = evaluator.max_delay(result.graph);
   result.final_delay = result.initial_delay;
 
-  while (result.swaps < options.max_swaps) {
+  for (;;) {
     const double current = result.final_delay;
     const double accept_below = current * (1.0 - options.min_relative_improvement);
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "delay/evaluator.h"
@@ -11,7 +10,6 @@ namespace ntr::route {
 
 struct EdgeSwapOptions {
   double min_relative_improvement = 1e-9;
-  std::size_t max_swaps = std::numeric_limits<std::size_t>::max();
 };
 
 struct EdgeSwapResult {

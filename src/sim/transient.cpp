@@ -66,19 +66,19 @@ TransientSimulator::TransientSimulator(const spice::Circuit& circuit,
   // tau = largest Elmore time constant among *node* voltages that settle to
   // a nonzero value. Branch currents are excluded: their moments are not
   // time constants.
-  tau_ = 0.0;
+  double tau = 0.0;
   for (std::size_t i = 0; i < mna_.node_unknowns; ++i) {
     if (std::abs(x_inf_[i]) > 1e-12)
-      tau_ = std::max(tau_, std::abs(m1[i] / x_inf_[i]));
+      tau = std::max(tau, std::abs(m1[i] / x_inf_[i]));
   }
-  if (tau_ <= 0.0) {
+  if (tau <= 0.0) {
     // Purely resistive circuit: response is instantaneous; pick a nominal
     // picosecond scale so the stepping loop stays well defined.
-    tau_ = 1e-12;
+    tau = 1e-12;
   }
 
-  h_ = options_.time_step_s > 0.0 ? options_.time_step_s : tau_ / kStepsPerTau;
-  t_max_ = options_.max_time_s > 0.0 ? options_.max_time_s : tau_ * kMaxTauMultiple;
+  h_ = options_.time_step_s > 0.0 ? options_.time_step_s : tau / kStepsPerTau;
+  t_max_ = options_.max_time_s > 0.0 ? options_.max_time_s : tau * kMaxTauMultiple;
   if (t_max_ < h_) t_max_ = h_;
 
   // The stepping loops divide by h_ and iterate to t_max_; a non-finite or

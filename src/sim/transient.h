@@ -44,16 +44,7 @@ class TransientSimulator {
   explicit TransientSimulator(const spice::Circuit& circuit,
                               const TransientOptions& options = {});
 
-  /// tau estimate (max Elmore over nodes) used for auto stepping.
-  [[nodiscard]] double characteristic_time() const { return tau_; }
   [[nodiscard]] double time_step() const { return h_; }
-  [[nodiscard]] double max_time() const { return t_max_; }
-
-  /// Voltage of `node` in the DC steady state (final value of the step
-  /// response).
-  [[nodiscard]] double final_voltage(spice::CircuitNode node) const {
-    return mna_.node_voltage(x_inf_, node);
-  }
 
   struct Waveform {
     std::vector<double> time_s;
@@ -61,13 +52,13 @@ class TransientSimulator {
     std::vector<std::vector<double>> voltage_v;
   };
 
-  /// Simulates up to t_end (capped at max_time()) recording the watched
-  /// nodes at every step.
+  /// Simulates up to t_end (capped at the horizon, see max_time_s)
+  /// recording the watched nodes at every step.
   Waveform run(double t_end_s, std::span<const spice::CircuitNode> watch);
 
   struct ThresholdReport {
     /// First time each watched node reaches threshold_fraction of its own
-    /// final value (linearly interpolated); +inf if never within max_time.
+    /// final value (linearly interpolated); +inf if never within the horizon.
     std::vector<double> crossing_s;
     std::vector<double> final_v;
     bool all_crossed = false;
@@ -77,7 +68,7 @@ class TransientSimulator {
   };
 
   /// Marches the step response until every watched node has crossed its
-  /// threshold (or max_time is hit). This implements the "50% of Vdd"
+  /// threshold (or the horizon is hit). This implements the "50% of Vdd"
   /// SPICE delay measurement used throughout the paper.
   ///
   /// `give_up_after_s` is a branch-and-bound cutoff: once the simulated
@@ -93,7 +84,6 @@ class TransientSimulator {
  private:
   MnaSystem mna_;
   linalg::Vector x_inf_;
-  double tau_ = 0.0;
   double h_ = 0.0;
   double t_max_ = 0.0;
   TransientOptions options_;

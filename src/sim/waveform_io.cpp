@@ -1,7 +1,6 @@
 #include "sim/waveform_io.h"
 
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ntr::sim {
@@ -24,13 +23,6 @@ void write_waveform_csv(std::ostream& os, const TransientSimulator::Waveform& wa
     }
     os << '\n';
   }
-}
-
-std::string waveform_csv(const TransientSimulator::Waveform& waveform,
-                         std::span<const std::string> column_names) {
-  std::ostringstream os;
-  write_waveform_csv(os, waveform, column_names);
-  return os.str();
 }
 
 }  // namespace ntr::sim

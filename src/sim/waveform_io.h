@@ -15,8 +15,4 @@ namespace ntr::sim {
 void write_waveform_csv(std::ostream& os, const TransientSimulator::Waveform& waveform,
                         std::span<const std::string> column_names);
 
-/// Convenience: render to a string (used by tests).
-std::string waveform_csv(const TransientSimulator::Waveform& waveform,
-                         std::span<const std::string> column_names);
-
 }  // namespace ntr::sim

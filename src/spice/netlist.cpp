@@ -55,11 +55,4 @@ std::size_t Circuit::element_count(ElementKind kind) const {
   return count;
 }
 
-double Circuit::total_capacitance() const {
-  double sum = 0.0;
-  for (const Element& e : elements_)
-    if (e.kind == ElementKind::kCapacitor) sum += e.value;
-  return sum;
-}
-
 }  // namespace ntr::spice

@@ -52,10 +52,6 @@ class Circuit {
   [[nodiscard]] std::span<const Element> elements() const { return elements_; }
   [[nodiscard]] std::size_t element_count(ElementKind kind) const;
 
-  /// Sum of all capacitance to any terminal (diagnostic; equals total net
-  /// capacitance for grounded-cap circuits).
-  [[nodiscard]] double total_capacitance() const;
-
  private:
   void check_nodes(CircuitNode a, CircuitNode b) const;
 

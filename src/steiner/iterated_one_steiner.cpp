@@ -15,6 +15,10 @@ namespace ntr::steiner {
 
 namespace {
 
+/// Gains below this fraction of the current tree cost count as zero, so
+/// floating-point noise cannot keep the loop adding Steiner points.
+constexpr double kMinRelativeGain = 1e-12;
+
 double mst_cost(std::span<const geom::Point> points) {
   const std::vector<graph::IndexEdge> edges = graph::prim_mst(points);
   return graph::edges_cost(points, edges);
@@ -203,7 +207,7 @@ std::vector<double> OneSteinerGains::operator()(std::span<const geom::Point> poi
   return gains;
 }
 
-SteinerResult iterated_one_steiner(const graph::Net& net, const SteinerOptions& options) {
+SteinerResult iterated_one_steiner(const graph::Net& net) {
   net.validate();
 
   const std::size_t pins = net.size();
@@ -218,10 +222,9 @@ SteinerResult iterated_one_steiner(const graph::Net& net, const SteinerOptions& 
   std::vector<std::size_t> order;
   std::vector<geom::Point> with;
 
-  while (options.max_steiner_points == 0 ||
-         augmented.size() - pins < options.max_steiner_points) {
+  for (;;) {
     const double current_cost = graph::edges_cost(augmented, tree);
-    const double min_gain = std::max(options.min_relative_gain * current_cost, 0.0);
+    const double min_gain = kMinRelativeGain * current_cost;
     // The estimate and the Prim gain current_cost - mst_cost(with) agree in
     // real arithmetic; in floating point (unit roundoff u = 2^-53, m points,
     // W = current_cost) they differ by at most

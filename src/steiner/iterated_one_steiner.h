@@ -13,16 +13,6 @@
 
 namespace ntr::steiner {
 
-struct SteinerOptions {
-  /// Upper bound on Steiner points added (the Iterated 1-Steiner loop
-  /// rarely needs more than the sink count). 0 means "no bound".
-  std::size_t max_steiner_points = 0;
-  /// Gains below this fraction of the current tree cost are treated as
-  /// zero, guaranteeing termination in the presence of floating-point
-  /// noise.
-  double min_relative_gain = 1e-12;
-};
-
 struct SteinerResult {
   /// Steiner points actually used, in insertion order.
   std::vector<geom::Point> steiner_points;
@@ -37,8 +27,7 @@ struct SteinerResult {
 /// repeatedly add the Hanan-grid candidate that maximizes the MST cost
 /// reduction of the augmented point set, pruning Steiner points whose MST
 /// degree drops to 2 or below, until no candidate yields a positive gain.
-SteinerResult iterated_one_steiner(const graph::Net& net,
-                                   const SteinerOptions& options = {});
+SteinerResult iterated_one_steiner(const graph::Net& net);
 
 /// Batched 1-Steiner gain estimates over a fixed candidate set: for each
 /// candidate, the MST cost of a point set minus the MST cost of that set

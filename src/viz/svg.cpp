@@ -12,6 +12,9 @@ namespace ntr::viz {
 
 namespace {
 
+constexpr double kWidthPx = 640.0;
+constexpr double kMarginPx = 28.0;
+
 struct Mapper {
   double scale, offset_x, offset_y, height_px;
   [[nodiscard]] double x(double wx) const { return offset_x + wx * scale; }
@@ -26,22 +29,22 @@ std::string render_svg(const graph::RoutingGraph& g, const SvgOptions& options) 
   for (const graph::GraphNode& n : g.nodes()) box.expand(n.pos);
   if (box.empty()) throw std::invalid_argument("render_svg: empty routing graph");
 
-  const double usable = options.width_px - 2.0 * options.margin_px;
+  const double usable = kWidthPx - 2.0 * kMarginPx;
   const double extent = std::max({box.width(), box.height(), 1.0});
   const double scale = usable / extent;
   const double height_px =
-      std::max(box.height(), 1.0) * scale + 2.0 * options.margin_px +
+      std::max(box.height(), 1.0) * scale + 2.0 * kMarginPx +
       (options.title.empty() ? 0.0 : 22.0);
-  const Mapper map{scale, options.margin_px - box.lo_x() * scale,
-                   options.margin_px - box.lo_y() * scale, height_px};
+  const Mapper map{scale, kMarginPx - box.lo_x() * scale,
+                   kMarginPx - box.lo_y() * scale, height_px};
 
   std::ostringstream svg;
-  svg << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << options.width_px
-      << "\" height=\"" << height_px << "\" viewBox=\"0 0 " << options.width_px << ' '
+  svg << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << kWidthPx
+      << "\" height=\"" << height_px << "\" viewBox=\"0 0 " << kWidthPx << ' '
       << height_px << "\">\n";
   svg << "  <rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
   if (!options.title.empty()) {
-    svg << "  <text x=\"" << options.margin_px << "\" y=\"18\" font-family=\"sans-serif\""
+    svg << "  <text x=\"" << kMarginPx << "\" y=\"18\" font-family=\"sans-serif\""
         << " font-size=\"14\">" << options.title << "</text>\n";
   }
 
@@ -55,7 +58,7 @@ std::string render_svg(const graph::RoutingGraph& g, const SvgOptions& options) 
     const geom::Point b = g.node(edge.v).pos;
     const char* color = highlighted[e] ? "#d62728" : "#1f77b4";
     const double stroke = 1.5 * edge.width + (highlighted[e] ? 0.5 : 0.0);
-    if (options.rectilinear && a.x != b.x && a.y != b.y) {
+    if (a.x != b.x && a.y != b.y) {
       // L-route: horizontal first, then vertical.
       svg << "  <polyline fill=\"none\" stroke=\"" << color << "\" stroke-width=\""
           << stroke << "\" points=\"" << map.x(a.x) << ',' << map.y(a.y) << ' '
@@ -86,10 +89,8 @@ std::string render_svg(const graph::RoutingGraph& g, const SvgOptions& options) 
             << "\" width=\"7\" height=\"7\" fill=\"#555\"/>\n";
         break;
     }
-    if (options.label_nodes) {
-      svg << "  <text x=\"" << cx + 8 << "\" y=\"" << cy - 8
-          << "\" font-family=\"sans-serif\" font-size=\"11\">" << n << "</text>\n";
-    }
+    svg << "  <text x=\"" << cx + 8 << "\" y=\"" << cy - 8
+        << "\" font-family=\"sans-serif\" font-size=\"11\">" << n << "</text>\n";
   }
   svg << "</svg>\n";
   return svg.str();

@@ -8,22 +8,18 @@
 namespace ntr::viz {
 
 struct SvgOptions {
-  double width_px = 640.0;   ///< drawing width; height follows the aspect ratio
-  double margin_px = 28.0;
-  /// Draw each wire as an L-shaped (horizontal-then-vertical) rectilinear
-  /// route, as the paper's figures do; false draws straight segments.
-  bool rectilinear = true;
-  bool label_nodes = true;
   std::string title;
   /// Edges drawn in the accent color (e.g. the wires LDRG added), by id.
   std::vector<graph::EdgeId> highlight_edges;
 };
 
-/// Renders a routing as a standalone SVG document: source as a filled
-/// square, sinks as circles, Steiner points as small squares (matching
-/// the paper's figure conventions), wires as rectilinear routes. The
-/// figure benches write these next to their console output so the paper's
-/// figures can be compared visually.
+/// Renders a routing as a standalone SVG document, 640 px wide with the
+/// height following the aspect ratio: source as a filled square, sinks as
+/// circles, Steiner points as small squares (matching the paper's figure
+/// conventions), each labelled with its node id, and wires as L-shaped
+/// (horizontal-then-vertical) rectilinear routes, as the paper's figures
+/// draw them. The figure benches write these next to their console output
+/// so the paper's figures can be compared visually.
 std::string render_svg(const graph::RoutingGraph& g, const SvgOptions& options = {});
 
 /// Convenience: render and write to `path`. Throws std::runtime_error on

@@ -30,7 +30,8 @@ TEST(ElmoreTree, TwoPinAnalytic) {
   const std::vector<double> d = elmore_node_delays(g, kTech);
   EXPECT_NEAR(d[1], expected_sink, expected_sink * 1e-12);
   EXPECT_NEAR(d[0], kTech.driver_resistance_ohm * (cw + cs), 1e-25);
-  EXPECT_NEAR(elmore_tree_delay(g, kTech), expected_sink, expected_sink * 1e-12);
+  EXPECT_NEAR(ElmoreTreeEvaluator(kTech).max_delay(g), expected_sink,
+              expected_sink * 1e-12);
 }
 
 TEST(ElmoreTree, PathOfTwoEdgesAnalytic) {
@@ -63,10 +64,10 @@ TEST(ElmoreTree, WiderEdgeLowersDownstreamResistanceTerm) {
   // by more than the added C-term costs through the driver.
   graph::Net net{{{0, 0}, {200, 0}, {5200, 0}, {200, 5000}, {5200, 100}}};
   graph::RoutingGraph g = graph::mst_routing(net);
-  const double before = elmore_tree_delay(g, kTech);
+  const double before = ElmoreTreeEvaluator(kTech).max_delay(g);
   const graph::EdgeId source_edge = *g.find_edge(0, 1);
   g.set_edge_width(source_edge, 3.0);
-  const double after = elmore_tree_delay(g, kTech);
+  const double after = ElmoreTreeEvaluator(kTech).max_delay(g);
   EXPECT_LT(after, before);
 }
 
@@ -172,9 +173,9 @@ TEST(Evaluators, MaxAndWeightedObjectives) {
   ASSERT_EQ(d.size(), 2u);
   EXPECT_DOUBLE_EQ(eval.max_delay(g), std::max(d[0], d[1]));
   const std::vector<double> alpha{2.0, 0.5};
-  EXPECT_DOUBLE_EQ(eval.weighted_delay(g, alpha), 2.0 * d[0] + 0.5 * d[1]);
+  EXPECT_DOUBLE_EQ(eval.objective(g, alpha), 2.0 * d[0] + 0.5 * d[1]);
   const std::vector<double> bad{1.0};
-  EXPECT_THROW(static_cast<void>(eval.weighted_delay(g, bad)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(eval.objective(g, bad)), std::invalid_argument);
 }
 
 TEST(Evaluators, TransientWorksOnCycles) {

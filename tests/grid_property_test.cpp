@@ -25,27 +25,9 @@ TEST_P(GridPropertyTest, SearchLengthsMatchManhattanWhenUnobstructed) {
          static_cast<double>(a.row > b.row ? a.row - b.row : b.row - a.row)) *
         g.pitch();
     const std::vector<Cell> sources{a};
-    EXPECT_DOUBLE_EQ(path_length(g, lee_route(g, sources, b)), expected);
-    EXPECT_DOUBLE_EQ(path_length(g, astar_route(g, a, b)), expected);
-  }
-}
-
-TEST_P(GridPropertyTest, AStarNeverBeatsNorLosesToLeeWithObstacles) {
-  Grid g(25, 25, 50.0);
-  std::mt19937 rng(GetParam() * 7 + 1);
-  // Random obstacles, ~20% fill, keeping the corners open.
-  for (int k = 0; k < 120; ++k) {
-    const Cell c{rng() % 25, rng() % 25};
-    if ((c.col < 2 && c.row < 2) || (c.col > 22 && c.row > 22)) continue;
-    g.block(c);
-  }
-  const std::vector<Cell> sources{{0, 0}};
-  const Cell target{24, 24};
-  const CellPath lee = lee_route(g, sources, target);
-  const CellPath astar = astar_route(g, {0, 0}, target);
-  ASSERT_EQ(lee.empty(), astar.empty());
-  if (!lee.empty()) {
-    EXPECT_DOUBLE_EQ(path_length(g, lee), path_length(g, astar));
+    const CellPath path = dijkstra_route(g, sources, b, pitch_cost);
+    ASSERT_FALSE(path.empty());
+    EXPECT_DOUBLE_EQ(static_cast<double>(path.size() - 1) * g.pitch(), expected);
   }
 }
 

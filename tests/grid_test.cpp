@@ -1,10 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "grid/grid.h"
 #include "grid/search.h"
 
 namespace ntr::grid {
 namespace {
+
+/// The search the global router runs, under the pure pitch cost.
+CellPath shortest_route(const Grid& g, std::span<const Cell> sources, Cell target) {
+  return dijkstra_route(g, sources, target, pitch_cost);
+}
+
+/// Wire length of a cell path: (cells - 1) * pitch.
+double wire_length(const Grid& g, const CellPath& path) {
+  return path.empty() ? 0.0 : static_cast<double>(path.size() - 1) * g.pitch();
+}
 
 TEST(Grid, ConstructionAndValidation) {
   EXPECT_THROW(Grid(1, 5, 100.0), std::invalid_argument);
@@ -61,8 +74,7 @@ TEST(Grid, UsageAccounting) {
   Grid g(4, 4, 10.0, 1);
   g.add_usage({1, 1}, Direction::kEast, 1);
   EXPECT_EQ(g.usage({2, 1}, Direction::kWest), 1u);
-  EXPECT_FALSE(g.congested({1, 1}, Direction::kNorth));
-  EXPECT_TRUE(g.congested({1, 1}, Direction::kEast));
+  EXPECT_EQ(g.usage({1, 1}, Direction::kNorth), 0u);
   EXPECT_EQ(g.total_overflow(), 0u);  // usage == capacity: full, not over
   g.add_usage({1, 1}, Direction::kEast, 1);
   EXPECT_EQ(g.total_overflow(), 1u);
@@ -84,30 +96,17 @@ TEST(Grid, BlockRect) {
 TEST(Search, LeeFindsShortestPath) {
   const Grid g(10, 10, 100.0);
   const Cell from{0, 0}, to{7, 4};
-  const CellPath path = lee_route(g, std::vector<Cell>{from}, to);
+  const CellPath path = shortest_route(g, std::vector<Cell>{from}, to);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.front(), from);
   EXPECT_EQ(path.back(), to);
-  EXPECT_DOUBLE_EQ(path_length(g, path), (7 + 4) * 100.0);
-}
-
-TEST(Search, AStarMatchesLeeLength) {
-  Grid g(20, 20, 50.0);
-  g.block_rect({5, 0}, {5, 15});  // a wall with a gap at the top
-  const Cell from{0, 0}, to{19, 3};
-  const CellPath lee = lee_route(g, std::vector<Cell>{from}, to);
-  const CellPath astar = astar_route(g, from, to);
-  ASSERT_FALSE(lee.empty());
-  ASSERT_FALSE(astar.empty());
-  EXPECT_DOUBLE_EQ(path_length(g, lee), path_length(g, astar));
-  // Detour forced by the wall: longer than the Manhattan distance.
-  EXPECT_GT(path_length(g, lee), (19 + 3) * 50.0);
+  EXPECT_DOUBLE_EQ(wire_length(g, path), (7 + 4) * 100.0);
 }
 
 TEST(Search, PathNeverEntersBlockedCells) {
   Grid g(12, 12, 10.0);
   g.block_rect({3, 3}, {8, 8});
-  const CellPath path = lee_route(g, std::vector<Cell>{{0, 5}}, {11, 5});
+  const CellPath path = shortest_route(g, std::vector<Cell>{{0, 5}}, {11, 5});
   ASSERT_FALSE(path.empty());
   for (const Cell c : path) EXPECT_FALSE(g.blocked(c));
 }
@@ -115,28 +114,27 @@ TEST(Search, PathNeverEntersBlockedCells) {
 TEST(Search, UnreachableReturnsEmpty) {
   Grid g(8, 8, 10.0);
   g.block_rect({3, 0}, {3, 7});  // full wall
-  EXPECT_TRUE(lee_route(g, std::vector<Cell>{{0, 0}}, {7, 7}).empty());
-  EXPECT_TRUE(astar_route(g, {0, 0}, {7, 7}).empty());
+  EXPECT_TRUE(shortest_route(g, std::vector<Cell>{{0, 0}}, {7, 7}).empty());
 }
 
 TEST(Search, MultiSourcePicksNearest) {
   const Grid g(20, 3, 10.0);
   const std::vector<Cell> sources{{0, 0}, {18, 0}};
-  const CellPath path = lee_route(g, sources, {16, 2});
+  const CellPath path = shortest_route(g, sources, {16, 2});
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.front(), (Cell{18, 0}));
-  EXPECT_DOUBLE_EQ(path_length(g, path), 4 * 10.0);
+  EXPECT_DOUBLE_EQ(wire_length(g, path), 4 * 10.0);
 }
 
 TEST(Search, EndpointValidation) {
   Grid g(5, 5, 10.0);
   g.block({2, 2});
-  EXPECT_THROW(lee_route(g, std::vector<Cell>{{2, 2}}, {0, 0}),
+  EXPECT_THROW(shortest_route(g, std::vector<Cell>{{2, 2}}, {0, 0}),
                std::invalid_argument);
-  EXPECT_THROW(lee_route(g, std::vector<Cell>{{0, 0}}, {2, 2}),
+  EXPECT_THROW(shortest_route(g, std::vector<Cell>{{0, 0}}, {2, 2}),
                std::invalid_argument);
-  EXPECT_THROW(lee_route(g, std::vector<Cell>{}, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(lee_route(g, std::vector<Cell>{{9, 9}}, {0, 0}), std::out_of_range);
+  EXPECT_THROW(shortest_route(g, std::vector<Cell>{}, {0, 0}), std::invalid_argument);
+  EXPECT_THROW(shortest_route(g, std::vector<Cell>{{9, 9}}, {0, 0}), std::out_of_range);
 }
 
 TEST(Search, CongestionCostAvoidsFullBoundaries) {
@@ -159,9 +157,9 @@ TEST(Search, CongestionCostAvoidsFullBoundaries) {
 TEST(Search, TargetInSourceSetIsTrivial) {
   const Grid g(5, 5, 10.0);
   const std::vector<Cell> sources{{1, 1}};
-  const CellPath path = lee_route(g, sources, {1, 1});
+  const CellPath path = shortest_route(g, sources, {1, 1});
   ASSERT_EQ(path.size(), 1u);
-  EXPECT_DOUBLE_EQ(path_length(g, path), 0.0);
+  EXPECT_DOUBLE_EQ(wire_length(g, path), 0.0);
 }
 
 }  // namespace

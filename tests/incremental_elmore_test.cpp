@@ -32,14 +32,6 @@ void expect_delays_close(const std::vector<double>& got,
     EXPECT_NEAR(got[i], want[i], kTol * scale) << context << " node " << i;
 }
 
-TEST(IncrementalElmore, BaseDelaysMatchFullGraphElmore) {
-  expt::NetGenerator gen(7);
-  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(12));
-  const IncrementalElmore engine(g, kTech);
-  const std::vector<double> full = graph_elmore_delays(g, kTech);
-  expect_delays_close(engine.base_delays(), full, max_abs(full), "base");
-}
-
 // The PR's property test: on 200 random nets, the Sherman-Morrison delta
 // for a random absent edge agrees with a from-scratch recompute of the
 // trial graph to 1e-12 (relative).
@@ -79,6 +71,19 @@ TEST(IncrementalElmore, ExactPathAgreesWithDeltaPath) {
   const std::vector<double> delta = engine.candidate_delays(1, 5);
   const std::vector<double> exact = engine.candidate_delays_exact(1, 5);
   expect_delays_close(delta, exact, max_abs(exact), "exact-vs-delta");
+}
+
+TEST(IncrementalElmore, RejectsAnEdgeAlreadyPresent) {
+  expt::NetGenerator gen(23);
+  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(8));
+  const IncrementalElmore engine(g, kTech);
+  const graph::GraphEdge& e = g.edge(0);
+  EXPECT_THROW(static_cast<void>(engine.candidate_delays(e.u, e.v)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(engine.candidate_delays(e.v, e.u)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(engine.candidate_delays_exact(e.u, e.v)),
+               std::invalid_argument);
 }
 
 TEST(IncrementalElmore, RejectsDisconnectedGraphs) {

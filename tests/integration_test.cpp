@@ -17,6 +17,7 @@
 #include "sim/transient.h"
 #include "spice/deck_io.h"
 #include "spice/graph_netlist.h"
+#include "steiner/iterated_one_steiner.h"
 
 namespace ntr {
 namespace {

@@ -148,7 +148,6 @@ TEST(LdrgParallel, ScreenedVariantBitIdenticalAcrossThreadCounts) {
     const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(golden.pins));
     core::LdrgOptions opts;
     opts.screen = &screen;
-    opts.screen_top_k = 4;
     const core::LdrgResult serial = core::ldrg(mst, eval, opts);
     for (const std::size_t threads : {1u, 2u, 4u, 8u, 0u}) {
       const std::string context = "seed " + std::to_string(golden.seed) +

@@ -123,8 +123,8 @@ TEST(Ldrg, CriticalSinkObjectiveTargetsWeightedSum) {
   LdrgOptions opts;
   opts.criticality = alpha;
   const LdrgResult res = ldrg(mst, eval, opts);
-  EXPECT_LE(eval.weighted_delay(res.graph, alpha),
-            eval.weighted_delay(mst, alpha) * (1 + 1e-12));
+  EXPECT_LE(eval.objective(res.graph, alpha),
+            eval.objective(mst, alpha) * (1 + 1e-12));
 }
 
 TEST(Ldrg, CompleteGraphHasNoCandidatesLeft) {
@@ -136,7 +136,7 @@ TEST(Ldrg, CompleteGraphHasNoCandidatesLeft) {
 }
 
 // Screened LDRG: LdrgOptions::screen ranks every candidate with graph
-// Elmore's delta scorer and only the top screen_top_k reach the evaluator.
+// Elmore's delta scorer and only the top 4 reach the evaluator.
 
 TEST(ScreenedLdrg, AgreesWithPlainLdrgOnQuality) {
   // With the same graph-Elmore oracle, screened LDRG verifying the top-4
@@ -180,8 +180,8 @@ TEST(ScreenedLdrg, CriticalityWeightedObjective) {
   opts.screen = &eval;
   opts.criticality.assign(mst.sinks().size(), 1.0);
   const LdrgResult res = ldrg(mst, eval, opts);
-  EXPECT_LE(eval.weighted_delay(res.graph, opts.criticality),
-            eval.weighted_delay(mst, opts.criticality) * (1 + 1e-12));
+  EXPECT_LE(eval.objective(res.graph, opts.criticality),
+            eval.objective(mst, opts.criticality) * (1 + 1e-12));
 
   // Wrong-sized weights must be rejected.
   opts.criticality = {1.0};
@@ -192,21 +192,14 @@ TEST(ScreenedLdrg, OptionValidation) {
   expt::NetGenerator gen(7);
   const graph::RoutingGraph mst = graph::mst_routing(gen.random_net(5));
   const delay::GraphElmoreEvaluator eval(kTech);
-  LdrgOptions opts;
-  opts.screen = &eval;
-  opts.screen_top_k = 0;
-  EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument);
-
   // A screen must have a delta scorer: ranking every candidate with full
   // simulations would cost more than the unscreened scan it replaces.
   const delay::TransientEvaluator transient(kTech);
+  LdrgOptions opts;
   opts.screen = &transient;
-  opts.screen_top_k = 4;
   EXPECT_THROW(ldrg(mst, eval, opts), std::invalid_argument);
 
-  // Without a screen, screen_top_k is not consulted.
-  opts.screen = nullptr;
-  opts.screen_top_k = 0;
+  opts.screen = &eval;
   EXPECT_NO_THROW(ldrg(mst, eval, opts));
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <sstream>
+#include <string>
+
 #include "core/solver.h"
 #include "delay/evaluator.h"
 #include "expt/protocol.h"
@@ -65,12 +70,19 @@ TEST(Protocol, DifferentSeedsChangeTheNumbers) {
 namespace ntr::sim {
 namespace {
 
+std::string render_csv(const TransientSimulator::Waveform& wf,
+                         std::span<const std::string> names) {
+  std::ostringstream os;
+  write_waveform_csv(os, wf, names);
+  return os.str();
+}
+
 TEST(WaveformIo, CsvLayout) {
   TransientSimulator::Waveform wf;
   wf.time_s = {0.0, 1e-9, 2e-9};
   wf.voltage_v = {{0.0, 0.5, 0.9}, {0.0, 0.2, 0.4}};
   const std::vector<std::string> names{"a", "b"};
-  const std::string csv = waveform_csv(wf, names);
+  const std::string csv = render_csv(wf, names);
   EXPECT_NE(csv.find("time_s,a,b"), std::string::npos);
   EXPECT_NE(csv.find("0,0,0"), std::string::npos);
   EXPECT_NE(csv.find("2e-09,0.9,0.4"), std::string::npos);
@@ -83,10 +95,10 @@ TEST(WaveformIo, Validation) {
   wf.time_s = {0.0, 1e-9};
   wf.voltage_v = {{0.0, 0.5}};
   const std::vector<std::string> wrong{"a", "b"};
-  EXPECT_THROW(static_cast<void>(waveform_csv(wf, wrong)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(render_csv(wf, wrong)), std::invalid_argument);
   wf.voltage_v[0].pop_back();  // ragged
   const std::vector<std::string> one{"a"};
-  EXPECT_THROW(static_cast<void>(waveform_csv(wf, one)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(render_csv(wf, one)), std::invalid_argument);
 }
 
 TEST(WaveformIo, RealSimulationRoundTrip) {
@@ -100,7 +112,7 @@ TEST(WaveformIo, RealSimulationRoundTrip) {
   const std::vector<spice::CircuitNode> watch{out};
   const auto wf = sim.run(2e-9, watch);
   const std::vector<std::string> names{"v_out"};
-  const std::string csv = waveform_csv(wf, names);
+  const std::string csv = render_csv(wf, names);
   EXPECT_NE(csv.find("time_s,v_out"), std::string::npos);
   EXPECT_EQ(csv.find("nan"), std::string::npos);
 }

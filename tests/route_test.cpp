@@ -11,6 +11,7 @@ namespace ntr::route {
 namespace {
 
 const spice::Technology kTech = spice::kTable1Technology;
+const delay::ElmoreTreeEvaluator kTreeElmore(kTech);
 
 TEST(Star, ConnectsEverySinkDirectly) {
   expt::NetGenerator gen(3);
@@ -92,8 +93,8 @@ TEST_P(ErtPropertyTest, BeatsMstElmoreDelayOnAverage) {
   for (int trial = 0; trial < 6; ++trial) {
     const graph::Net net = gen.random_net(GetParam());
     const ErtResult ert = elmore_routing_tree(net, kTech);
-    ert_total += delay::elmore_tree_delay(ert.graph, kTech);
-    mst_total += delay::elmore_tree_delay(graph::mst_routing(net), kTech);
+    ert_total += kTreeElmore.max_delay(ert.graph);
+    mst_total += kTreeElmore.max_delay(graph::mst_routing(net));
   }
   EXPECT_LT(ert_total, mst_total);
 }
@@ -109,9 +110,9 @@ TEST_P(ErtPropertyTest, SertNeverWorseThanErtUnderElmore) {
     const graph::Net net = gen.random_net(GetParam());
     ErtOptions steiner_opts;
     steiner_opts.steiner = true;
-    ert_total += delay::elmore_tree_delay(elmore_routing_tree(net, kTech).graph, kTech);
-    sert_total += delay::elmore_tree_delay(
-        elmore_routing_tree(net, kTech, steiner_opts).graph, kTech);
+    ert_total += kTreeElmore.max_delay(elmore_routing_tree(net, kTech).graph);
+    sert_total +=
+        kTreeElmore.max_delay(elmore_routing_tree(net, kTech, steiner_opts).graph);
   }
   EXPECT_LT(sert_total, ert_total * 1.05);
 }

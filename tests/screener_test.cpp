@@ -7,8 +7,6 @@
 #include <memory>
 
 #include "delay/evaluator.h"
-#include "delay/incremental_elmore.h"
-#include "delay/moments.h"
 #include "expt/net_generator.h"
 #include "graph/routing_graph.h"
 
@@ -41,15 +39,6 @@ TEST_P(ScreenerTest, MatchesFullSolveForEveryCandidate) {
       }
     }
   }
-}
-
-TEST_P(ScreenerTest, BaseDelaysMatchMomentEngine) {
-  expt::NetGenerator gen(31 + GetParam());
-  const graph::RoutingGraph g = graph::mst_routing(gen.random_net(GetParam()));
-  const IncrementalElmore engine(g, kTech);
-  const std::vector<double> reference = graph_elmore_delays(g, kTech);
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_NEAR(engine.base_delays()[i], reference[i], reference[i] * 1e-9 + 1e-20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScreenerTest, ::testing::Values<std::size_t>(5, 8, 12));

